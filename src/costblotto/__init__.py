@@ -43,7 +43,6 @@ from .minimax import (
     build_minimax_lp,
     equilibrium_statistic_bounds,
     expenditure_statistic,
-    lp_stats,
     resource_statistic,
     solve,
     solve_equilibrium_statistic,
@@ -62,7 +61,7 @@ from .reduction import (
     obtained_resources,
     unmap_strategy,
 )
-from .solver import LinearProgram, SolverFailureError, get_backend, write_lp_text
+from .solver import LinearProgram, SolverFailureError, get_backend
 from .strategy import (
     Marginals,
     best_response_value,
@@ -111,7 +110,6 @@ __all__ = [
     "get_backend",
     "load_game",
     "load_sweep_spec",
-    "lp_stats",
     "map_strategy",
     "marginals_from_flow",
     "marginals_from_mixed",
@@ -128,5 +126,4 @@ __all__ = [
     "swap_players",
     "sweep_point_game",
     "unmap_strategy",
-    "write_lp_text",
 ]

@@ -25,7 +25,6 @@ from .minimax import (
     build_minimax_lp,
     equilibrium_statistic_bounds,
     expenditure_statistic,
-    lp_stats,
     resource_statistic,
     solve,
 )
@@ -336,13 +335,13 @@ def cmd_oracle_diff(config: str, out: str | None = None, backend=None) -> dict:
 
 
 def cmd_lp_stats(config: str, out: str | None = None, backend=None) -> dict:
-    """Report LP sizes and build/solve times for a config."""
+    """Report LP sizes, the LP method, and build/solve times for a config."""
     game = load_game(config)
+    backend = backend if backend is not None else get_backend()
     sunk = build_sunk_cost(game)
     t0 = time.perf_counter()
     model = build_minimax_lp(sunk, "A")
     build_ms = (time.perf_counter() - t0) * 1000
-    num_vars, num_constraints = lp_stats(model)
     t0 = time.perf_counter()
     result = solve(model, backend)
     solve_ms = (time.perf_counter() - t0) * 1000
@@ -351,13 +350,15 @@ def cmd_lp_stats(config: str, out: str | None = None, backend=None) -> dict:
         "n_hat": sunk.n_hat,
         "budget_A": game.budget_a,
         "budget_B": game.budget_b,
-        "num_vars": num_vars,
-        "num_constraints": num_constraints,
+        "num_vars": model.num_vars,
+        "num_constraints": model.num_constraints,
         "nonzeros": int(model.program.a.nnz),
         "edges_self": model.graph_self.num_edges,
         "edges_opp": model.graph_opp.num_edges,
         "build_ms": round(build_ms, 3),
         "solve_ms": round(solve_ms, 3),
+        "method": backend.method,
+        "iterations": result.iterations,
         "status": result.status,
         "value": result.value if result.status == OPTIMAL else None,
     }

@@ -218,6 +218,7 @@ class SolveResult:
     potentials: np.ndarray | None
     objective_extras: float | None = None
     message: str = ""
+    iterations: int = 0
 
 
 def build_minimax_lp(sunk: SunkCostGame, perspective: str = "A") -> MinimaxLP:
@@ -292,7 +293,6 @@ def build_minimax_lp(sunk: SunkCostGame, perspective: str = "A") -> MinimaxLP:
     rhs = np.zeros(num_rows)
     rhs[gs.source] = -1.0
     rhs[gs.sink] = 1.0
-    row_sense = np.array(["="] * num_eq + ["<"] * (e_o + 1))
 
     lower = np.zeros(num_vars)
     upper = np.full(num_vars, np.inf)
@@ -303,7 +303,7 @@ def build_minimax_lp(sunk: SunkCostGame, perspective: str = "A") -> MinimaxLP:
     objective[col_t] = 1.0
 
     program = LinearProgram(sense="max", objective=objective, a=a,
-                            row_sense=row_sense, rhs=rhs, lower=lower, upper=upper)
+                            num_eq=num_eq, rhs=rhs, lower=lower, upper=upper)
     return MinimaxLP(
         program=program,
         graph_self=gs,
@@ -317,11 +317,6 @@ def build_minimax_lp(sunk: SunkCostGame, perspective: str = "A") -> MinimaxLP:
     )
 
 
-def lp_stats(model: MinimaxLP) -> tuple[int, int]:
-    """Variable and constraint counts of an assembled model."""
-    return model.num_vars, model.num_constraints
-
-
 def _result_from_solution(model: MinimaxLP, sol: BackendSolution,
                           with_extras: bool = False) -> SolveResult:
     if sol.status in (INFEASIBLE, UNBOUNDED):
@@ -330,7 +325,8 @@ def _result_from_solution(model: MinimaxLP, sol: BackendSolution,
         )
     if sol.status != OPTIMAL:
         return SolveResult(status=sol.status, value=float("nan"), flow=None,
-                           potentials=None, message=sol.message)
+                           potentials=None, message=sol.message,
+                           iterations=sol.iterations)
     x = sol.x
     f = x[model.flow_slice].copy()
     worst_negative = float(f.min(initial=0.0))
@@ -338,6 +334,7 @@ def _result_from_solution(model: MinimaxLP, sol: BackendSolution,
         return SolveResult(
             status=NUMERIC_FAILURE, value=float("nan"), flow=None, potentials=None,
             message=f"flow has negative entry {worst_negative} beyond {FEAS_EPS}",
+            iterations=sol.iterations,
         )
     f[np.abs(f) < FLOW_DUST] = 0.0
     f = np.maximum(f, 0.0)
@@ -347,6 +344,7 @@ def _result_from_solution(model: MinimaxLP, sol: BackendSolution,
         return SolveResult(
             status=NUMERIC_FAILURE, value=float("nan"), flow=None, potentials=None,
             message=f"flow conservation violated by {worst} after cleanup",
+            iterations=sol.iterations,
         )
     return SolveResult(
         status=OPTIMAL,
@@ -355,6 +353,7 @@ def _result_from_solution(model: MinimaxLP, sol: BackendSolution,
         potentials=x[model.potential_slice].copy(),
         objective_extras=float(sol.objective) if with_extras else None,
         message=sol.message,
+        iterations=sol.iterations,
     )
 
 
@@ -379,15 +378,16 @@ def _statistic_objective(model: MinimaxLP, statistic) -> np.ndarray:
 def _pinned_program(model: MinimaxLP, value: float, objective: np.ndarray,
                     sense: str) -> LinearProgram:
     base = model.program
+    # value >= pinned value, stored as -value <= -(pinned value)
     pin_row = sp.csr_matrix(
-        ([1.0], ([0], [model.value_index])), shape=(1, base.num_vars)
+        ([-1.0], ([0], [model.value_index])), shape=(1, base.num_vars)
     )
     return LinearProgram(
         sense=sense,
         objective=objective,
         a=sp.vstack([base.a, pin_row], format="csr"),
-        row_sense=np.append(base.row_sense, ">"),
-        rhs=np.append(base.rhs, value - PIN_EPS * max(1.0, abs(value))),
+        num_eq=base.num_eq,
+        rhs=np.append(base.rhs, PIN_EPS * max(1.0, abs(value)) - value),
         lower=base.lower,
         upper=base.upper,
     )

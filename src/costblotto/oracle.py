@@ -157,18 +157,14 @@ def _solve_float(payoffs) -> tuple[float, np.ndarray, np.ndarray]:
     shift = 1.0 - m.min()
     shifted = m + shift
     n_rows, n_cols = shifted.shape
-    res_col = linprog(-np.ones(n_cols), A_ub=shifted, b_ub=np.ones(n_rows),
-                      method="highs")
-    if res_col.status != 0:
-        raise OracleSolveError(f"column-player solve failed: {res_col.message}")
-    res_row = linprog(np.ones(n_rows), A_ub=-shifted.T, b_ub=-np.ones(n_cols),
-                      method="highs")
-    if res_row.status != 0:
-        raise OracleSolveError(f"row-player solve failed: {res_row.message}")
-    scale = 1.0 / (-res_col.fun)
-    value = scale - shift
-    col = np.maximum(res_col.x, 0.0) * scale
-    row = np.maximum(res_row.x, 0.0) / res_row.x.sum()
+    res = linprog(-np.ones(n_cols), A_ub=shifted, b_ub=np.ones(n_rows),
+                  method="highs")
+    if res.status != 0:
+        raise OracleSolveError(f"matrix game solve failed: {res.message}")
+    value = 1.0 / (-res.fun) - shift
+    # the row player's strategy is the normalized dual of the row constraints
+    row = np.maximum(-res.ineqlin.marginals, 0.0)
+    col = np.maximum(res.x, 0.0)
     return value, row / row.sum(), col / col.sum()
 
 
@@ -183,7 +179,7 @@ def matrix_game_solve(mg: MatrixGame) -> tuple[Number, MixedStrategy, MixedStrat
 
     Solves ``max sum(y): M'y <= 1`` over the positively shifted matrix; the
     row player's strategy comes from the duals.  Exact matrices are solved in
-    rational arithmetic, others through two floating-point LPs.
+    rational arithmetic, others through one floating-point LP.
     """
     if mg.is_exact:
         value, row, col = _solve_exact(mg.payoffs)

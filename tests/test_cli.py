@@ -9,6 +9,7 @@ from costblotto.cli import (
     classify_hypothesis_case,
     main,
 )
+from costblotto.solver import BACKEND_ENV_VAR
 
 S_STAR = {(0, 0), (0, 1), (1, 0), (1, 1)}
 
@@ -202,9 +203,12 @@ class TestOracleDiff:
 
 
 class TestLpStats:
-    def test_report(self, config_path, capsys):
+    def test_report(self, config_path, capsys, monkeypatch):
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         assert main(["lp-stats", "--config", config_path]) == 0
         report = json.loads(capsys.readouterr().out)
+        assert report["method"] == "highs-ipm"
+        assert isinstance(report["iterations"], int) and report["iterations"] >= 0
         assert report["num_vars"] == 49
         assert report["num_constraints"] == 49
         assert report["edges_self"] == 18

@@ -19,7 +19,6 @@ from costblotto import (
     decompose_flow,
     equilibrium_statistic_bounds,
     expenditure_statistic,
-    lp_stats,
     map_strategy,
     marginals_from_flow,
     matrix_game_solve,
@@ -29,7 +28,6 @@ from costblotto import (
     solve_equilibrium_statistic,
     unmap_strategy,
 )
-from costblotto.solver import write_lp_text
 from costblotto.strategy import best_response_value
 from conftest import example_one, random_game
 
@@ -117,7 +115,7 @@ def expected_counts(n_hat, d_self, d_opp):
 class TestBuildMinimaxLp:
     def test_example_counts(self, example_game):
         model = build_minimax_lp(build_sunk_cost(example_game), "A")
-        assert lp_stats(model) == (49, 49)
+        assert (model.num_vars, model.num_constraints) == (49, 49)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_counts_closed_form(self, seed):
@@ -129,7 +127,8 @@ class TestBuildMinimaxLp:
             ("B", game.budget_b, game.budget_a),
         ):
             model = build_minimax_lp(sunk, perspective)
-            assert lp_stats(model) == expected_counts(sunk.n_hat, d_self, d_opp)
+            assert ((model.num_vars, model.num_constraints)
+                    == expected_counts(sunk.n_hat, d_self, d_opp))
             assert model.graph_self.budget == d_self
             assert model.graph_opp.budget == d_opp
 
@@ -140,12 +139,14 @@ class TestBuildMinimaxLp:
         assert obj[model.value_index] == 1.0
         assert np.count_nonzero(obj) == 1
 
-    def test_export_deterministic(self, example_game):
+    def test_assembly_deterministic(self, example_game):
         sunk = build_sunk_cost(example_game)
-        first = write_lp_text(build_minimax_lp(sunk, "A").program)
-        second = write_lp_text(build_minimax_lp(sunk, "A").program)
-        assert first == second
-        assert " c0: " in first
+        first = build_minimax_lp(sunk, "A").program
+        second = build_minimax_lp(sunk, "A").program
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(first.a, field), getattr(second.a, field))
+        assert np.array_equal(first.rhs, second.rhs)
+        assert first.num_eq == second.num_eq
 
 
 class TestSolve:

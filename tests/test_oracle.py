@@ -15,6 +15,7 @@ from costblotto import (
     matrix_game_solve,
     payoff_costs,
 )
+from costblotto.oracle import MEMBERSHIP_EPS_FLOAT
 from conftest import random_game
 
 LEX = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
@@ -124,8 +125,17 @@ class TestMatrixGameSolve:
             payoffs=tuple(tuple(float(x) for x in row) for row in entries),
         )
         v_exact, _, _ = matrix_game_solve(exact)
-        v_float, _, _ = matrix_game_solve(floaty)
+        v_float, xi_row, xi_col = matrix_game_solve(floaty)
         assert abs(float(v_exact) - v_float) <= 1e-7
+        # both float strategies guarantee the value against every pure reply
+        p = dict(xi_row.support)
+        q = dict(xi_col.support)
+        worst = min(sum(p.get((r,), 0.0) * entries[r][c] for r in range(rows))
+                    for c in range(cols))
+        best = max(sum(q.get((c,), 0.0) * entries[r][c] for c in range(cols))
+                   for r in range(rows))
+        assert worst >= v_float - MEMBERSHIP_EPS_FLOAT
+        assert best <= v_float + MEMBERSHIP_EPS_FLOAT
 
     @pytest.mark.parametrize("seed", range(10))
     def test_returned_strategies_are_optimal(self, seed):

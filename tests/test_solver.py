@@ -10,7 +10,6 @@ from costblotto.solver import (
     LinearProgram,
     ScipyHighsBackend,
     get_backend,
-    write_lp_text,
 )
 
 
@@ -20,7 +19,7 @@ def small_lp(sense="max"):
         sense=sense,
         objective=np.array([1.0, 1.0]),
         a=sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]])),
-        row_sense=np.array(["<", "<"]),
+        num_eq=0,
         rhs=np.array([3.0, 2.0]),
         lower=np.zeros(2),
         upper=np.full(2, np.inf),
@@ -39,7 +38,20 @@ class TestLinearProgram:
                 sense="max",
                 objective=np.array([1.0]),
                 a=sp.csr_matrix(np.eye(2)),
-                row_sense=np.array(["<", "<"]),
+                num_eq=0,
+                rhs=np.zeros(2),
+                lower=np.zeros(2),
+                upper=np.full(2, np.inf),
+            )
+
+    @pytest.mark.parametrize("num_eq", [-1, 3])
+    def test_num_eq_out_of_range_rejected(self, num_eq):
+        with pytest.raises(ValueError, match="num_eq"):
+            LinearProgram(
+                sense="max",
+                objective=np.array([1.0, 1.0]),
+                a=sp.csr_matrix(np.eye(2)),
+                num_eq=num_eq,
                 rhs=np.zeros(2),
                 lower=np.zeros(2),
                 upper=np.full(2, np.inf),
@@ -51,7 +63,7 @@ class TestLinearProgram:
                 sense="maximize",
                 objective=np.array([1.0]),
                 a=sp.csr_matrix(np.eye(1)),
-                row_sense=np.array(["<"]),
+                num_eq=0,
                 rhs=np.zeros(1),
                 lower=np.zeros(1),
                 upper=np.ones(1),
@@ -65,13 +77,13 @@ class TestScipyHighsBackend:
         assert sol.objective == pytest.approx(3.0, abs=1e-9)
 
     def test_min_solve_with_equality_and_ge(self):
-        # min x0 + 2 x1  s.t.  x0 + x1 = 1,  x1 >= 0.25
+        # min x0 + 2 x1  s.t.  x0 + x1 = 1,  x1 >= 0.25 (as -x1 <= -0.25)
         lp = LinearProgram(
             sense="min",
             objective=np.array([1.0, 2.0]),
-            a=sp.csr_matrix(np.array([[1.0, 1.0], [0.0, 1.0]])),
-            row_sense=np.array(["=", ">"]),
-            rhs=np.array([1.0, 0.25]),
+            a=sp.csr_matrix(np.array([[1.0, 1.0], [0.0, -1.0]])),
+            num_eq=1,
+            rhs=np.array([1.0, -0.25]),
             lower=np.zeros(2),
             upper=np.full(2, np.inf),
         )
@@ -84,9 +96,9 @@ class TestScipyHighsBackend:
         lp = LinearProgram(
             sense="max",
             objective=np.array([1.0]),
-            a=sp.csr_matrix(np.array([[1.0], [1.0]])),
-            row_sense=np.array(["<", ">"]),
-            rhs=np.array([1.0, 2.0]),
+            a=sp.csr_matrix(np.array([[1.0], [-1.0]])),
+            num_eq=0,
+            rhs=np.array([1.0, -2.0]),
             lower=np.zeros(1),
             upper=np.full(1, np.inf),
         )
@@ -97,7 +109,7 @@ class TestScipyHighsBackend:
             sense="max",
             objective=np.array([1.0]),
             a=sp.csr_matrix(np.zeros((1, 1))),
-            row_sense=np.array(["<"]),
+            num_eq=0,
             rhs=np.array([1.0]),
             lower=np.zeros(1),
             upper=np.full(1, np.inf),
@@ -105,13 +117,13 @@ class TestScipyHighsBackend:
         assert ScipyHighsBackend().solve(lp).status == UNBOUNDED
 
     def test_free_and_fixed_bounds(self):
-        # x0 free, x1 fixed to 2: min x0 s.t. x0 >= x1 - 3
+        # x0 free, x1 fixed to 2: min x0 s.t. x0 >= x1 - 3 (as -x0 + x1 <= 3)
         lp = LinearProgram(
             sense="min",
             objective=np.array([1.0, 0.0]),
-            a=sp.csr_matrix(np.array([[1.0, -1.0]])),
-            row_sense=np.array([">"]),
-            rhs=np.array([-3.0]),
+            a=sp.csr_matrix(np.array([[-1.0, 1.0]])),
+            num_eq=0,
+            rhs=np.array([3.0]),
             lower=np.array([-np.inf, 2.0]),
             upper=np.array([np.inf, 2.0]),
         )
@@ -139,31 +151,5 @@ class TestBackendRegistry:
 
     def test_default(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert get_backend().method == "highs"
+        assert get_backend().method == "highs-ipm"
 
-
-class TestLpExport:
-    def test_deterministic(self):
-        assert write_lp_text(small_lp()) == write_lp_text(small_lp())
-
-    def test_structure(self):
-        text = write_lp_text(small_lp())
-        assert text.startswith("Maximize")
-        assert "Subject To" in text
-        assert " c0: " in text and " c1: " in text
-        assert text.rstrip().endswith("End")
-
-    def test_min_sense_and_bounds_sections(self):
-        lp = LinearProgram(
-            sense="min",
-            objective=np.array([1.0, 1.0]),
-            a=sp.csr_matrix(np.eye(2)),
-            row_sense=np.array(["=", ">"]),
-            rhs=np.array([1.0, 0.0]),
-            lower=np.array([-np.inf, 0.5]),
-            upper=np.array([np.inf, 0.5]),
-        )
-        text = write_lp_text(lp)
-        assert text.startswith("Minimize")
-        assert "free" in text
-        assert "= 0.5" in text
