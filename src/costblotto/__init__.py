@@ -45,7 +45,6 @@ from .minimax import (
     expenditure_statistic,
     resource_statistic,
     solve,
-    solve_equilibrium_statistic,
 )
 from .oracle import (
     MatrixGame,
@@ -122,7 +121,6 @@ __all__ = [
     "payoff_zero",
     "resource_statistic",
     "solve",
-    "solve_equilibrium_statistic",
     "swap_players",
     "sweep_point_game",
     "unmap_strategy",

@@ -41,6 +41,9 @@ from .strategy import (
 #: Absolute tolerance when checking equilibrium-resource case rules.
 HYPOTHESIS_TOL = 1e-4
 
+#: Largest flow-LP minus oracle value gap ``oracle-diff`` accepts.
+ORACLE_DIFF_TOL = 1e-6
+
 #: Header of the sweep CSV; ``solve_ms`` is the only non-deterministic column.
 SWEEP_CSV_HEADER = ("n,D_A,D_B,c0_inv,min_resources,max_resources,"
                     "min_expenditure,max_expenditure,value,solve_ms,error")
@@ -70,17 +73,15 @@ def _unmapped(xi_hat: MixedStrategy, budget: int) -> MixedStrategy:
     )
 
 
-def _solve_player(game: CostBlottoGame, player: str, backend):
-    """Equilibrium strategy of one player from its own perspective."""
-    model = build_minimax_lp(build_sunk_cost(game), player)
-    result = solve(model, backend)
+def _solve_game(game: CostBlottoGame, backend):
+    """One A-perspective solve: the result and both players' equilibrium
+    strategies, B's read from the LP's row duals."""
+    result = solve(build_minimax_lp(build_sunk_cost(game), "A"), backend)
     if result.status != OPTIMAL:
-        raise SolverFailureError(
-            f"solve for player {player} failed: {result.status} {result.message}"
-        )
-    xi_hat = decompose_flow(result.flow)
-    xi = _unmapped(xi_hat, game.budget(player))
-    return result, xi_hat, xi
+        raise SolverFailureError(f"minimax solve failed: {result.status} {result.message}")
+    xi_a = _unmapped(decompose_flow(result.flow), game.budget_a)
+    xi_b = _unmapped(decompose_flow(result.opponent_flow), game.budget_b)
+    return result, xi_a, xi_b
 
 
 def cmd_solve(config: str, player: str, out: str, backend=None) -> dict:
@@ -89,20 +90,19 @@ def cmd_solve(config: str, player: str, out: str, backend=None) -> dict:
         raise ConfigError(f"player must be 'A' or 'B', got {player!r}")
     game = load_game(config)
     backend = backend if backend is not None else get_backend()
-    result_a, hat_a, xi_a = _solve_player(game, "A", backend)
-    result_b, hat_b, xi_b = _solve_player(game, "B", backend)
+    result, xi_a, xi_b = _solve_game(game, backend)
     is_eq, gap_a, gap_b = certify_equilibrium(game, xi_a, xi_b)
     if not is_eq:
         raise SolverFailureError(
             f"solved profile failed the equilibrium certificate "
             f"(gap_a={gap_a}, gap_b={gap_b})"
         )
-    result, xi_hat, xi = (result_a, hat_a, xi_a) if player == "A" else (result_b, hat_b, xi_b)
-    budget = game.budget(player)
-    marginals = marginals_from_flow(result.flow)
+    value, xi, flow = ((result.value, xi_a, result.flow) if player == "A"
+                       else (-result.value, xi_b, result.opponent_flow))
+    marginals = marginals_from_flow(flow)
     payload = {
         "player": player,
-        "value": result.value,
+        "value": value,
         "strategy": _strategy_payload(xi),
         "marginals": [list(row) for row in marginals.tables[:-1]],
         "resources_obtained": list(reversed(marginals.tables[-1])),
@@ -134,7 +134,7 @@ def cmd_bounds(config: str, statistic: str, out: str, backend=None) -> dict:
     base, bounds = equilibrium_statistic_bounds(
         game, {statistic: _STATISTICS[statistic](game)}, backend=backend
     )
-    _, _, xi_b = _solve_player(game, "B", backend)
+    xi_b = _unmapped(decompose_flow(base.opponent_flow), game.budget_b)
     payload = {"statistic": statistic, "player": "A", "value": base.value}
     for direction in ("min", "max"):
         bound, witness = bounds[statistic][direction]
@@ -311,8 +311,7 @@ def cmd_oracle_diff(config: str, out: str | None = None, backend=None) -> dict:
     """Compare the flow solver's value against the brute-force oracle."""
     game = load_game(config)
     backend = backend if backend is not None else get_backend()
-    result, _, xi_a = _solve_player(game, "A", backend)
-    _, _, xi_b = _solve_player(game, "B", backend)
+    result, xi_a, xi_b = _solve_game(game, backend)
     oracle_value, _, _ = matrix_game_solve(build_matrix(game))
     diff = abs(result.value - float(oracle_value))
     is_eq, gap_a, gap_b = certify_equilibrium(game, xi_a, xi_b)
@@ -325,8 +324,8 @@ def cmd_oracle_diff(config: str, out: str | None = None, backend=None) -> dict:
             "gap_B": float(gap_b),
             "is_equilibrium": bool(is_eq),
         },
-        "tolerance": 1e-6,
-        "within_tolerance": bool(diff <= 1e-6 and is_eq),
+        "tolerance": ORACLE_DIFF_TOL,
+        "within_tolerance": bool(diff <= ORACLE_DIFF_TOL and is_eq),
     }
     print(json.dumps(report, indent=2, sort_keys=True))
     if out is not None:
@@ -359,6 +358,7 @@ def cmd_lp_stats(config: str, out: str | None = None, backend=None) -> dict:
         "solve_ms": round(solve_ms, 3),
         "method": backend.method,
         "iterations": result.iterations,
+        "crossover_iterations": result.crossover_iterations,
         "status": result.status,
         "value": result.value if result.status == OPTIMAL else None,
     }

@@ -186,7 +186,9 @@ class MinimaxLP:
     per-battlefield marginals (one per assignment level), the opponent's
     expected per-assignment battlefield payoffs, the opponent's node
     potentials, and the value variable.  The marginal and expected-payoff
-    variables are definitional; they keep every constraint row short.
+    variables are definitional; they keep every constraint row short.  The
+    ``<=`` rows are one opponent-potential row per opponent edge, whose duals
+    form the opponent's equilibrium flow, then the value row.
     """
 
     program: LinearProgram
@@ -210,7 +212,8 @@ class MinimaxLP:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of one LP solve in flow form."""
+    """Outcome of one LP solve in flow form.  ``opponent_flow``, the opponent's
+    equilibrium flow read from the row duals, is set by unpinned solves only."""
 
     status: str
     value: float
@@ -219,6 +222,8 @@ class SolveResult:
     objective_extras: float | None = None
     message: str = ""
     iterations: int = 0
+    crossover_iterations: int = 0
+    opponent_flow: StrategyFlow | None = None
 
 
 def build_minimax_lp(sunk: SunkCostGame, perspective: str = "A") -> MinimaxLP:
@@ -317,43 +322,50 @@ def build_minimax_lp(sunk: SunkCostGame, perspective: str = "A") -> MinimaxLP:
     )
 
 
+def _solver_flow(graph: LayeredGraph, raw: np.ndarray) -> StrategyFlow:
+    """Clean a solver's flow: reject entries below ``-FEAS_EPS``, zero those
+    under ``FLOW_DUST``, then check conservation at ``FEAS_EPS``."""
+    worst_negative = float(raw.min(initial=0.0))
+    if worst_negative < -FEAS_EPS:
+        raise InvalidFlowError(f"negative entry {worst_negative} beyond {FEAS_EPS}")
+    f = np.maximum(raw, 0.0)
+    f[f < FLOW_DUST] = 0.0
+    flow = StrategyFlow(graph=graph, edge_flow=f)
+    flow.validate()
+    return flow
+
+
 def _result_from_solution(model: MinimaxLP, sol: BackendSolution,
-                          with_extras: bool = False) -> SolveResult:
+                          pinned: bool = False) -> SolveResult:
     if sol.status in (INFEASIBLE, UNBOUNDED):
         raise LpConstructionError(
             f"minimax LP reported {sol.status}: {sol.message}"
         )
+    counts = {"iterations": sol.iterations,
+              "crossover_iterations": sol.crossover_iterations}
     if sol.status != OPTIMAL:
         return SolveResult(status=sol.status, value=float("nan"), flow=None,
-                           potentials=None, message=sol.message,
-                           iterations=sol.iterations)
+                           potentials=None, message=sol.message, **counts)
     x = sol.x
-    f = x[model.flow_slice].copy()
-    worst_negative = float(f.min(initial=0.0))
-    if worst_negative < -FEAS_EPS:
-        return SolveResult(
-            status=NUMERIC_FAILURE, value=float("nan"), flow=None, potentials=None,
-            message=f"flow has negative entry {worst_negative} beyond {FEAS_EPS}",
-            iterations=sol.iterations,
-        )
-    f[np.abs(f) < FLOW_DUST] = 0.0
-    f = np.maximum(f, 0.0)
-    flow = StrategyFlow(graph=model.graph_self, edge_flow=f)
-    worst = float(np.abs(flow.node_imbalance()).max())
-    if worst > FEAS_EPS:
-        return SolveResult(
-            status=NUMERIC_FAILURE, value=float("nan"), flow=None, potentials=None,
-            message=f"flow conservation violated by {worst} after cleanup",
-            iterations=sol.iterations,
-        )
+    flow = opponent_flow = None
+    try:
+        flow = _solver_flow(model.graph_self, x[model.flow_slice])
+        if not pinned:  # the opponent-potential rows lead the <= rows
+            opponent_flow = _solver_flow(
+                model.graph_opp, sol.row_duals[:model.graph_opp.num_edges])
+    except InvalidFlowError as exc:
+        which = "flow" if flow is None else "opponent flow from the row duals"
+        return SolveResult(status=NUMERIC_FAILURE, value=float("nan"), flow=None,
+                           potentials=None, message=f"{which}: {exc}", **counts)
     return SolveResult(
         status=OPTIMAL,
         value=float(x[model.value_index]),
         flow=flow,
         potentials=x[model.potential_slice].copy(),
-        objective_extras=float(sol.objective) if with_extras else None,
+        objective_extras=float(sol.objective) if pinned else None,
         message=sol.message,
-        iterations=sol.iterations,
+        opponent_flow=opponent_flow,
+        **counts,
     )
 
 
@@ -425,7 +437,7 @@ def equilibrium_statistic_bounds(
                     f"stage-two solve for {name}/{direction} failed: "
                     f"{sol.status} {sol.message}"
                 )
-            witness = _result_from_solution(model, sol, with_extras=True)
+            witness = _result_from_solution(model, sol, pinned=True)
             if witness.status != OPTIMAL:
                 raise SolverFailureError(
                     f"stage-two solution for {name}/{direction} unusable: "
@@ -433,24 +445,6 @@ def equilibrium_statistic_bounds(
                 )
             out[name][direction] = (float(sol.objective), witness)
     return base, out
-
-
-def solve_equilibrium_statistic(
-    game: CostBlottoGame,
-    statistic: Sequence[Sequence[float]],
-    direction: str,
-    backend=None,
-) -> tuple[float, SolveResult]:
-    """Optimize one marginal-linear statistic over player A's equilibria.
-
-    ``statistic`` gives a weight per battlefield of the reduced game and
-    assignment level; the optimized quantity is the expectation of those
-    weights under the strategy's marginals.
-    """
-    _, bounds = equilibrium_statistic_bounds(
-        game, {"statistic": statistic}, directions=(direction,), backend=backend
-    )
-    return bounds["statistic"][direction]
 
 
 def resource_statistic(game: CostBlottoGame) -> tuple[tuple[float, ...], ...]:

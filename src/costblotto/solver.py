@@ -71,11 +71,17 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class BackendSolution:
+    """A backend's answer.  ``row_duals`` holds, per ``<=`` row, the rate at
+    which the optimum grows with that row's right-hand side (so >= 0 for a
+    ``max`` LP); it is set for optimal solutions only."""
+
     status: str
     x: np.ndarray | None
     objective: float | None
     message: str = ""
     iterations: int = 0
+    crossover_iterations: int = 0
+    row_duals: np.ndarray | None = None
 
 
 class ScipyHighsBackend:
@@ -96,10 +102,10 @@ class ScipyHighsBackend:
         }
 
     def solve(self, lp: LinearProgram) -> BackendSolution:
-        c = lp.objective if lp.sense == "min" else -lp.objective
+        sign = 1.0 if lp.sense == "min" else -1.0  # linprog minimizes
         k = lp.num_eq
         res = linprog(
-            c,
+            sign * lp.objective,
             A_ub=lp.a[k:],
             b_ub=lp.rhs[k:],
             A_eq=lp.a[:k],
@@ -115,13 +121,14 @@ class ScipyHighsBackend:
             3: UNBOUNDED,
             4: NUMERIC_FAILURE,
         }.get(res.status, NUMERIC_FAILURE)
+        info = {"message": str(res.message), "iterations": int(res.nit),
+                "crossover_iterations": int(res.crossover_nit)}
         if status != OPTIMAL:
-            return BackendSolution(status=status, x=None, objective=None,
-                                   message=str(res.message), iterations=int(res.nit))
-        objective = res.fun if lp.sense == "min" else -res.fun
+            return BackendSolution(status=status, x=None, objective=None, **info)
         return BackendSolution(status=OPTIMAL, x=np.asarray(res.x, dtype=float),
-                               objective=float(objective), message=str(res.message),
-                               iterations=int(res.nit))
+                               objective=float(sign * res.fun),
+                               row_duals=sign * np.asarray(res.ineqlin.marginals, dtype=float),
+                               **info)
 
 
 def get_backend(name: str | None = None) -> ScipyHighsBackend:

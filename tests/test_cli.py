@@ -1,15 +1,17 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
+from costblotto import cli, load_game, build_minimax_lp, build_sunk_cost, solve
 from costblotto.cli import (
     SWEEP_CSV_HEADER,
     _fmt,
     classify_hypothesis_case,
     main,
 )
-from costblotto.solver import BACKEND_ENV_VAR
+from costblotto.solver import BACKEND_ENV_VAR, NUMERIC_FAILURE, ScipyHighsBackend
 
 S_STAR = {(0, 0), (0, 1), (1, 0), (1, 1)}
 
@@ -82,8 +84,27 @@ class TestSolve:
                      "--player", "B", "--out", str(out)]) == 0
         payload = json.loads((out / "solution_B.json").read_text())
         assert payload["player"] == "B"
+        assert abs(payload["value"]) <= 1e-8
+        assert payload["certificate"]["is_equilibrium"] is True
         assert all(tuple(e["assignment"]) in S_STAR
                    for e in payload["strategy"]["support"])
+
+    def test_player_b_unequal_budgets(self, tmp_path):
+        # B's strategy, marginals and value come from the A LP's duals
+        path = tmp_path / "unequal.json"
+        path.write_text(json.dumps(dict(EXAMPLE_CONFIG, budget_B=3)))
+        payloads = {}
+        for player in ("A", "B"):
+            out = tmp_path / player
+            assert main(["solve", "--config", str(path),
+                         "--player", player, "--out", str(out)]) == 0
+            payloads[player] = json.loads((out / f"solution_{player}.json").read_text())
+        b = payloads["B"]
+        assert b["value"] == pytest.approx(-payloads["A"]["value"], abs=1e-12)
+        assert all(len(row) == 4 for row in b["marginals"])
+        assert len(b["resources_obtained"]) == 4
+        assert all(sum(e["assignment"]) <= 3 for e in b["strategy"]["support"])
+        assert b["certificate"] == payloads["A"]["certificate"]
 
 
 class TestBounds:
@@ -209,6 +230,8 @@ class TestLpStats:
         report = json.loads(capsys.readouterr().out)
         assert report["method"] == "highs-ipm"
         assert isinstance(report["iterations"], int) and report["iterations"] >= 0
+        assert (isinstance(report["crossover_iterations"], int)
+                and report["crossover_iterations"] >= 0)
         assert report["num_vars"] == 49
         assert report["num_constraints"] == 49
         assert report["edges_self"] == 18
@@ -216,6 +239,40 @@ class TestLpStats:
         assert report["n_hat"] == 3
         assert report["status"] == "optimal"
         assert report["value"] == pytest.approx(0, abs=1e-8)
+
+
+class ConservationBreakingBackend(ScipyHighsBackend):
+    """Real solves whose first opponent-potential row dual is off by 0.5, so
+    the opponent flow read from the duals breaks conservation."""
+
+    def solve(self, lp):
+        sol = super().solve(lp)
+        duals = sol.row_duals.copy()
+        duals[0] += 0.5
+        return dataclasses.replace(sol, row_duals=duals)
+
+
+class TestBrokenDuals:
+    def test_numeric_failure(self, config_path):
+        model = build_minimax_lp(build_sunk_cost(load_game(config_path)), "A")
+        result = solve(model, ConservationBreakingBackend())
+        assert result.status == NUMERIC_FAILURE
+        assert "opponent flow" in result.message
+        assert result.flow is None and result.opponent_flow is None
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--player", "A"],
+        ["solve", "--player", "B"],
+        ["bounds", "--statistic", "resources"],
+        ["oracle-diff"],
+    ])
+    def test_exit_code_3(self, args, config_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "get_backend", ConservationBreakingBackend)
+        out = [] if args[0] == "oracle-diff" else ["--out", str(tmp_path / "out")]
+        assert main(args + ["--config", config_path] + out) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "SolverFailureError"
+        assert not (tmp_path / "out").exists()
 
 
 class TestErrorPaths:

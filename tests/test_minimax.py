@@ -25,7 +25,6 @@ from costblotto import (
     build_matrix,
     resource_statistic,
     solve,
-    solve_equilibrium_statistic,
     unmap_strategy,
 )
 from costblotto.strategy import best_response_value
@@ -215,6 +214,33 @@ class TestSolve:
         assert abs(br_value + result.value) <= 1e-6
 
 
+def _strategy(flow, budget):
+    """The unmapped mixed strategy a flow decomposes into."""
+    return MixedStrategy(support=tuple(
+        (unmap_strategy(s, budget), p) for s, p in decompose_flow(flow).support))
+
+
+class TestOpponentFlow:
+    """B's equilibrium read from the A-perspective LP's row duals, on games
+    drawn as acceptance criterion 3 draws them (every fourth with D = 0)."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_dual_flow_is_b_equilibrium(self, seed):
+        rng = random.Random(5000 + seed)
+        game = random_game(rng, n_max=3, d_max=0 if seed % 4 == 0 else 5)
+        sunk = build_sunk_cost(game)
+        result = solve(build_minimax_lp(sunk, "A"))
+        assert result.status == "optimal"
+        result.opponent_flow.validate()
+        assert result.opponent_flow.graph == LayeredGraph(sunk.n_hat, game.budget_b)
+        xi_a = _strategy(result.flow, game.budget_a)
+        xi_b = _strategy(result.opponent_flow, game.budget_b)
+        is_eq, gap_a, gap_b = certify_equilibrium(game, xi_a, xi_b)
+        assert is_eq, (gap_a, gap_b)
+        value_b = solve(build_minimax_lp(sunk, "B")).value
+        assert abs(-result.value - value_b) <= 1e-7
+
+
 class TestStatisticBounds:
     def test_example_resource_bounds(self, example_game):
         base, bounds = equilibrium_statistic_bounds(
@@ -274,13 +300,13 @@ class TestStatisticBounds:
             exp = bounds["exp"][direction][0]
             assert abs(exp - 0.4 * res) <= 1e-9
 
-    def test_single_direction_matches(self, example_game):
-        stat = resource_statistic(example_game)
-        bound, witness = solve_equilibrium_statistic(example_game, stat, "max")
-        _, bounds = equilibrium_statistic_bounds(
-            example_game, {"stat": stat}, directions=("max",))
-        assert bound == pytest.approx(bounds["stat"]["max"][0], abs=1e-9)
-        assert witness.status == "optimal"
+    def test_only_stage_one_has_opponent_flow(self, example_game):
+        # a pin row changes the duals, so pinned witnesses carry no B flow
+        base, bounds = equilibrium_statistic_bounds(
+            example_game, {"res": resource_statistic(example_game)})
+        base.opponent_flow.validate()
+        for direction in ("min", "max"):
+            assert bounds["res"][direction][1].opponent_flow is None
 
     def test_pinning_preserves_value(self, example_game):
         base, bounds = equilibrium_statistic_bounds(
@@ -295,4 +321,4 @@ class TestStatisticBounds:
 
     def test_bad_statistic_shape_rejected(self, example_game):
         with pytest.raises(ValueError):
-            solve_equilibrium_statistic(example_game, ((0.0, 0.0),), "max")
+            equilibrium_statistic_bounds(example_game, {"bad": ((0.0, 0.0),)})

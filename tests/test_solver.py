@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -130,6 +132,25 @@ class TestScipyHighsBackend:
         sol = ScipyHighsBackend().solve(lp)
         assert sol.status == OPTIMAL
         assert sol.x == pytest.approx([-1.0, 2.0], abs=1e-9)
+
+
+class TestRowDuals:
+    @pytest.mark.parametrize("method", ["highs", "highs-ds", "highs-ipm"])
+    def test_sign_follows_sense(self, method):
+        # x0 + x1 <= 3 binds (one more unit of rhs moves the optimum by 1),
+        # x0 <= 2 does not
+        sol = ScipyHighsBackend(method).solve(small_lp("max"))
+        assert sol.row_duals == pytest.approx([1.0, 0.0], abs=1e-9)
+        lp = dataclasses.replace(small_lp("min"), objective=np.array([-1.0, -1.0]))
+        sol = ScipyHighsBackend(method).solve(lp)
+        assert sol.objective == pytest.approx(-3.0)
+        assert sol.row_duals == pytest.approx([-1.0, 0.0], abs=1e-9)
+        assert isinstance(sol.crossover_iterations, int)
+
+    def test_not_optimal_has_no_duals(self):
+        infeasible = dataclasses.replace(small_lp(), rhs=np.array([-1.0, 2.0]))
+        sol = ScipyHighsBackend().solve(infeasible)
+        assert sol.status == INFEASIBLE and sol.row_duals is None
 
 
 class TestBackendRegistry:
