@@ -25,6 +25,7 @@ from .minimax import (
     build_minimax_lp,
     equilibrium_statistic_bounds,
     expenditure_statistic,
+    face_masks,
     resource_statistic,
     solve,
 )
@@ -124,7 +125,8 @@ _STATISTICS = {
 
 
 def cmd_bounds(config: str, statistic: str, out: str, backend=None) -> dict:
-    """Extremal equilibrium values of a statistic for player A, with witnesses."""
+    """Extremal equilibrium values of a statistic for player A, with certified
+    witnesses and the size of the optimal face they were optimized over."""
     if statistic not in _STATISTICS:
         raise ConfigError(
             f"statistic must be one of {sorted(_STATISTICS)}, got {statistic!r}"
@@ -135,7 +137,9 @@ def cmd_bounds(config: str, statistic: str, out: str, backend=None) -> dict:
         game, {statistic: _STATISTICS[statistic](game)}, backend=backend
     )
     xi_b = _unmapped(decompose_flow(base.opponent_flow), game.budget_b)
-    payload = {"statistic": statistic, "player": "A", "value": base.value}
+    fixed, tight = face_masks(base.solution)
+    payload = {"statistic": statistic, "player": "A", "value": base.value,
+               "face": {"fixed_columns": int(fixed.sum()), "tight_rows": int(tight.sum())}}
     for direction in ("min", "max"):
         bound, witness = bounds[statistic][direction]
         xi = _unmapped(decompose_flow(witness.flow), game.budget_a)
@@ -147,6 +151,8 @@ def cmd_bounds(config: str, statistic: str, out: str, backend=None) -> dict:
             )
         payload[direction] = bound
         payload[f"witness_{direction}"] = _strategy_payload(xi)
+        payload[f"certificate_{direction}"] = {
+            "gap_A": float(gap_a), "gap_B": float(gap_b), "eps": CERTIFICATE_EPS}
     _write_json(Path(out) / f"bounds_{statistic}.json", payload)
     return payload
 
@@ -357,8 +363,8 @@ def cmd_lp_stats(config: str, out: str | None = None, backend=None) -> dict:
         "build_ms": round(build_ms, 3),
         "solve_ms": round(solve_ms, 3),
         "method": backend.method,
-        "iterations": result.iterations,
-        "crossover_iterations": result.crossover_iterations,
+        "iterations": result.solution.iterations,
+        "crossover_iterations": result.solution.crossover_iterations,
         "status": result.status,
         "value": result.value if result.status == OPTIMAL else None,
     }

@@ -218,10 +218,6 @@ class CostBlottoGame:
                 f"expected budget {self.budget_b}"
             )
 
-    def budget(self, player: str) -> int:
-        _check_player(player)
-        return self.budget_a if player == "A" else self.budget_b
-
 
 def _check_player(player: str) -> None:
     if player not in ("A", "B"):

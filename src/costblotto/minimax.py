@@ -13,7 +13,7 @@ linear in the battlefield count, instead of the exponential strategy space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -34,10 +34,9 @@ from .solver import (
 
 #: Flow conservation / feasibility tolerance.
 FEAS_EPS = 1e-7
-#: Flows smaller than this are treated as exact zeros after a solve.
+#: Flows, duals and reduced costs smaller than this are treated as exact
+#: zeros after a solve.
 FLOW_DUST = 1e-9
-#: Relative slack when pinning the game value in a second-stage solve.
-PIN_EPS = 1e-7
 
 
 class LpConstructionError(RuntimeError):
@@ -213,16 +212,16 @@ class MinimaxLP:
 @dataclass(frozen=True)
 class SolveResult:
     """Outcome of one LP solve in flow form.  ``opponent_flow``, the opponent's
-    equilibrium flow read from the row duals, is set by unpinned solves only."""
+    equilibrium flow read from the row duals, is set by minimax solves only,
+    not by optimal-face witnesses.  ``solution`` is the backend's answer: its
+    iteration counts, and for an optimum the duals that define the optimal
+    face."""
 
     status: str
     value: float
     flow: StrategyFlow | None
-    potentials: np.ndarray | None
-    objective_extras: float | None = None
+    solution: BackendSolution
     message: str = ""
-    iterations: int = 0
-    crossover_iterations: int = 0
     opponent_flow: StrategyFlow | None = None
 
 
@@ -336,37 +335,27 @@ def _solver_flow(graph: LayeredGraph, raw: np.ndarray) -> StrategyFlow:
 
 
 def _result_from_solution(model: MinimaxLP, sol: BackendSolution,
-                          pinned: bool = False) -> SolveResult:
+                          witness: bool = False) -> SolveResult:
     if sol.status in (INFEASIBLE, UNBOUNDED):
         raise LpConstructionError(
             f"minimax LP reported {sol.status}: {sol.message}"
         )
-    counts = {"iterations": sol.iterations,
-              "crossover_iterations": sol.crossover_iterations}
     if sol.status != OPTIMAL:
         return SolveResult(status=sol.status, value=float("nan"), flow=None,
-                           potentials=None, message=sol.message, **counts)
+                           solution=sol, message=sol.message)
     x = sol.x
     flow = opponent_flow = None
     try:
         flow = _solver_flow(model.graph_self, x[model.flow_slice])
-        if not pinned:  # the opponent-potential rows lead the <= rows
+        if not witness:  # the opponent-potential rows lead the <= rows
             opponent_flow = _solver_flow(
                 model.graph_opp, sol.row_duals[:model.graph_opp.num_edges])
     except InvalidFlowError as exc:
         which = "flow" if flow is None else "opponent flow from the row duals"
         return SolveResult(status=NUMERIC_FAILURE, value=float("nan"), flow=None,
-                           potentials=None, message=f"{which}: {exc}", **counts)
-    return SolveResult(
-        status=OPTIMAL,
-        value=float(x[model.value_index]),
-        flow=flow,
-        potentials=x[model.potential_slice].copy(),
-        objective_extras=float(sol.objective) if pinned else None,
-        message=sol.message,
-        opponent_flow=opponent_flow,
-        **counts,
-    )
+                           solution=sol, message=f"{which}: {exc}")
+    return SolveResult(status=OPTIMAL, value=float(x[model.value_index]), flow=flow,
+                       solution=sol, message=sol.message, opponent_flow=opponent_flow)
 
 
 def solve(model: MinimaxLP, backend=None) -> SolveResult:
@@ -387,57 +376,64 @@ def _statistic_objective(model: MinimaxLP, statistic) -> np.ndarray:
     return objective
 
 
-def _pinned_program(model: MinimaxLP, value: float, objective: np.ndarray,
-                    sense: str) -> LinearProgram:
+def face_masks(sol: BackendSolution) -> tuple[np.ndarray, np.ndarray]:
+    """Columns with a nonzero reduced cost and ``<=`` rows with a nonzero
+    dual in an optimal solution, both beyond ``FLOW_DUST``."""
+    return (np.abs(sol.reduced_costs) > FLOW_DUST,
+            np.abs(sol.row_duals) > FLOW_DUST)
+
+
+def _optimal_face(model: MinimaxLP, sol: BackendSolution) -> LinearProgram:
+    """The LP of ``model`` restricted to the optimal face of its solution.
+
+    By complementary slackness with the optimal dual in ``sol``, a feasible
+    point is optimal exactly when every column with a nonzero reduced cost
+    sits on its lower bound (A's flow edges on no best response to B's dual
+    equilibrium) and every ``<=`` row with a nonzero dual (B's dual-flow
+    support and the value row) is tight: fix the former, make the latter
+    equalities."""
     base = model.program
-    # value >= pinned value, stored as -value <= -(pinned value)
-    pin_row = sp.csr_matrix(
-        ([-1.0], ([0], [model.value_index])), shape=(1, base.num_vars)
-    )
-    return LinearProgram(
-        sense=sense,
-        objective=objective,
-        a=sp.vstack([base.a, pin_row], format="csr"),
-        num_eq=base.num_eq,
-        rhs=np.append(base.rhs, PIN_EPS * max(1.0, abs(value)) - value),
-        lower=base.lower,
-        upper=base.upper,
-    )
+    fixed, tight = face_masks(sol)
+    upper = base.upper.copy()
+    upper[fixed] = base.lower[fixed]
+    k = base.num_eq
+    order = np.concatenate(
+        (np.arange(k), k + np.flatnonzero(tight), k + np.flatnonzero(~tight)))
+    return replace(base, a=base.a[order], num_eq=k + int(tight.sum()),
+                   rhs=base.rhs[order], upper=upper)
 
 
 def equilibrium_statistic_bounds(
     game: CostBlottoGame,
     statistics: Mapping[str, Sequence[Sequence[float]]],
-    directions: tuple[str, ...] = ("min", "max"),
     backend=None,
 ) -> tuple[SolveResult, dict[str, dict[str, tuple[float, SolveResult]]]]:
     """Extremal equilibrium values of marginal-linear statistics for player A.
 
-    Stage one solves the reduced game for its value; stage two re-optimizes
-    each statistic over the flows pinned to achieve that value, so every
-    witness is itself an (epsilon-)equilibrium strategy.  All statistics
-    share stage one, which keeps min and max comparable bound-for-bound.
+    Stage one solves the reduced game; stage two optimizes each statistic
+    over the stage-one LP's optimal face, which is exactly A's equilibrium
+    set, so every witness is itself an equilibrium strategy.  All statistics
+    share stage one and its face, which keeps min and max comparable
+    bound-for-bound.
     """
     backend = backend if backend is not None else get_backend()
     model = build_minimax_lp(build_sunk_cost(game), "A")
     base = solve(model, backend)
     if base.status != OPTIMAL:
         raise SolverFailureError(f"stage-one solve failed: {base.status} {base.message}")
+    face = _optimal_face(model, base.solution)
     out: dict[str, dict[str, tuple[float, SolveResult]]] = {}
     for name, statistic in statistics.items():
         objective = _statistic_objective(model, statistic)
         out[name] = {}
-        for direction in directions:
-            if direction not in ("min", "max"):
-                raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
-            program = _pinned_program(model, base.value, objective, direction)
-            sol = backend.solve(program)
+        for direction in ("min", "max"):
+            sol = backend.solve(replace(face, sense=direction, objective=objective))
             if sol.status != OPTIMAL:
                 raise SolverFailureError(
                     f"stage-two solve for {name}/{direction} failed: "
                     f"{sol.status} {sol.message}"
                 )
-            witness = _result_from_solution(model, sol, pinned=True)
+            witness = _result_from_solution(model, sol, witness=True)
             if witness.status != OPTIMAL:
                 raise SolverFailureError(
                     f"stage-two solution for {name}/{direction} unusable: "

@@ -60,10 +60,6 @@ class SunkCostGame:
                     f"valuations_hat[{i}] must be {self.budget_a + 1}x{self.budget_b + 1}"
                 )
 
-    def budget(self, player: str) -> int:
-        _check_player(player)
-        return self.budget_a if player == "A" else self.budget_b
-
 
 def build_sunk_cost(game: CostBlottoGame) -> SunkCostGame:
     """Fold both players' costs of ``game`` into an equivalent sunk-cost game.

@@ -73,7 +73,9 @@ class LinearProgram:
 class BackendSolution:
     """A backend's answer.  ``row_duals`` holds, per ``<=`` row, the rate at
     which the optimum grows with that row's right-hand side (so >= 0 for a
-    ``max`` LP); it is set for optimal solutions only."""
+    ``max`` LP); ``reduced_costs`` holds, per column, the rate at which it
+    grows with the column's lower bound (so <= 0 for a ``max`` LP, and 0 for
+    a column off its lower bound).  Both are set for optimal solutions only."""
 
     status: str
     x: np.ndarray | None
@@ -82,6 +84,7 @@ class BackendSolution:
     iterations: int = 0
     crossover_iterations: int = 0
     row_duals: np.ndarray | None = None
+    reduced_costs: np.ndarray | None = None
 
 
 class ScipyHighsBackend:
@@ -128,6 +131,7 @@ class ScipyHighsBackend:
         return BackendSolution(status=OPTIMAL, x=np.asarray(res.x, dtype=float),
                                objective=float(sign * res.fun),
                                row_duals=sign * np.asarray(res.ineqlin.marginals, dtype=float),
+                               reduced_costs=sign * np.asarray(res.lower.marginals, dtype=float),
                                **info)
 
 

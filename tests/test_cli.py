@@ -4,14 +4,16 @@ import json
 
 import pytest
 
-from costblotto import cli, load_game, build_minimax_lp, build_sunk_cost, solve
+from costblotto import cli, load_game, build_minimax_lp, build_sunk_cost, minimax, solve
 from costblotto.cli import (
     SWEEP_CSV_HEADER,
     _fmt,
     classify_hypothesis_case,
     main,
 )
+from costblotto.config import sweep_point_game
 from costblotto.solver import BACKEND_ENV_VAR, NUMERIC_FAILURE, ScipyHighsBackend
+from costblotto.strategy import CERTIFICATE_EPS
 
 S_STAR = {(0, 0), (0, 1), (1, 0), (1, 1)}
 
@@ -118,6 +120,21 @@ class TestBounds:
         for key in ("witness_min", "witness_max"):
             assert all(tuple(e["assignment"]) in S_STAR
                        for e in payload[key]["support"])
+
+    def test_records_certificates_and_face(self, config_path, tmp_path):
+        out = tmp_path / "out"
+        assert main(["bounds", "--config", config_path,
+                     "--statistic", "resources", "--out", str(out)]) == 0
+        payload = json.loads((out / "bounds_resources.json").read_text())
+        for direction in ("min", "max"):
+            cert = payload[f"certificate_{direction}"]
+            assert cert["eps"] == CERTIFICATE_EPS
+            assert 0 <= cert["gap_A"] <= CERTIFICATE_EPS
+            assert 0 <= cert["gap_B"] <= CERTIFICATE_EPS
+        face = payload["face"]
+        assert isinstance(face["fixed_columns"], int) and face["fixed_columns"] > 0
+        # at least B's support rows and the value row are tight
+        assert isinstance(face["tight_rows"], int) and face["tight_rows"] >= 2
 
     def test_expenditure_equals_resources_here(self, config_path, tmp_path):
         # unit obtainment cost and free assignment: spend == obtain
@@ -273,6 +290,46 @@ class TestBrokenDuals:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "SolverFailureError"
         assert not (tmp_path / "out").exists()
+
+
+class FaceClosingBackend(ScipyHighsBackend):
+    """Real solves, but the first (stage-one) answer reports a nonzero
+    reduced cost on every flow column, so the optimal face fixes every flow
+    edge at 0 and holds no unit flow."""
+
+    def __init__(self, game):
+        super().__init__()
+        self.flow_slice = build_minimax_lp(build_sunk_cost(game), "A").flow_slice
+        self.calls = 0
+
+    def solve(self, lp):
+        sol = super().solve(lp)
+        self.calls += 1
+        if self.calls > 1:
+            return sol
+        reduced = sol.reduced_costs.copy()
+        reduced[self.flow_slice] = -1.0
+        return dataclasses.replace(sol, reduced_costs=reduced)
+
+
+class TestInfeasibleFace:
+    def test_bounds_exit_code_3(self, config_path, tmp_path, monkeypatch, capsys):
+        game = load_game(config_path)
+        monkeypatch.setattr(cli, "get_backend", lambda: FaceClosingBackend(game))
+        out = tmp_path / "out"
+        assert main(["bounds", "--statistic", "resources", "--config", config_path,
+                     "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "SolverFailureError"
+        assert "infeasible" in err["error"]["message"]
+        assert not out.exists()
+
+    def test_sweep_point_records_error(self, monkeypatch):
+        game = sweep_point_game(2, 2, 2, 1.0)
+        monkeypatch.setattr(minimax, "get_backend", lambda: FaceClosingBackend(game))
+        row = cli._sweep_point((2, 2, 2, 1.0))
+        assert row["error"].startswith("SolverFailureError: stage-two solve")
+        assert "min_resources" not in row and "value" not in row
 
 
 class TestErrorPaths:

@@ -121,12 +121,6 @@ class TestCostBlottoGame:
                 obtain_cost_b=example_game.obtain_cost_b,
             )
 
-    def test_budget_helper(self, example_game):
-        assert example_game.budget("A") == 2
-        assert example_game.budget("B") == 2
-        with pytest.raises(ValueError):
-            example_game.budget("C")
-
 
 class TestPayoffs:
     @pytest.mark.parametrize(

@@ -27,8 +27,11 @@ from costblotto import (
     solve,
     unmap_strategy,
 )
+from costblotto.cli import classify_hypothesis_case
+from costblotto.config import sweep_point_game
 from costblotto.strategy import best_response_value
 from conftest import example_one, random_game
+from scipy.optimize import linprog
 
 S_STAR = {(0, 0), (0, 1), (1, 0), (1, 1)}
 
@@ -301,7 +304,7 @@ class TestStatisticBounds:
             assert abs(exp - 0.4 * res) <= 1e-9
 
     def test_only_stage_one_has_opponent_flow(self, example_game):
-        # a pin row changes the duals, so pinned witnesses carry no B flow
+        # a face witness's duals price the statistic, so it carries no B flow
         base, bounds = equilibrium_statistic_bounds(
             example_game, {"res": resource_statistic(example_game)})
         base.opponent_flow.validate()
@@ -316,9 +319,68 @@ class TestStatisticBounds:
             sunk = build_sunk_cost(example_game)
             marginals = marginals_from_flow(witness.flow)
             br_value, _ = best_response_value(sunk, marginals, "B")
-            # the pinned witness still guarantees the game value
+            # every witness still guarantees the game value
             assert -br_value >= base.value - 2e-7
 
     def test_bad_statistic_shape_rejected(self, example_game):
         with pytest.raises(ValueError):
             equilibrium_statistic_bounds(example_game, {"bad": ((0.0, 0.0),)})
+
+    @pytest.mark.parametrize("n,budget,c0_inv", [(2, 6, 2.5), (3, 10, 3.5)])
+    def test_case_two_point_exact(self, n, budget, c0_inv):
+        # the equilibrium resources are unique: min(D, n * floor(c0_inv))
+        assert classify_hypothesis_case(n, budget, c0_inv) == 2
+        game = sweep_point_game(n, budget, budget, c0_inv)
+        _, bounds = equilibrium_statistic_bounds(
+            game, {"res": resource_statistic(game)})
+        expected = min(budget, n * int(c0_inv))
+        for direction in ("min", "max"):
+            assert abs(bounds["res"][direction][0] - expected) <= 1e-9
+
+
+#: Largest gap allowed between a flow-LP bound and the matrix-game bound.
+BOUNDS_ORACLE_TOL = 1e-6
+
+
+def _matrix_game_bounds(game, statistic):
+    """Min and max of ``statistic`` (per pure strategy of A) over A's
+    equilibrium set {p in simplex : p'M >= v} of the explicit payoff matrix,
+    by HiGHS simplex; shares no LP with the flow solver."""
+    mg = build_matrix(game)
+    value, _, _ = matrix_game_solve(mg)
+    m = np.asarray(mg.payoffs, dtype=float)
+    weights = np.array([float(statistic(s)) for s in mg.row_strategies])
+    bounds = []
+    for sign in (1.0, -1.0):
+        res = linprog(sign * weights, A_ub=-m.T, b_ub=np.full(m.shape[1], -float(value)),
+                      A_eq=np.ones((1, m.shape[0])), b_eq=[1.0], method="highs-ds")
+        assert res.status == 0, res.message
+        bounds.append(sign * res.fun)
+    return tuple(bounds)
+
+
+class TestBoundsOracle:
+    """Equilibrium-statistic bounds against the matrix-game equilibrium set,
+    on games drawn as acceptance criterion 3 draws them; every fourth has a
+    zero budget on at least one side."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_matrix_game(self, seed):
+        rng = random.Random(6000 + seed)
+        game = random_game(rng)
+        while seed % 4 == 0 and 0 not in (game.budget_a, game.budget_b):
+            game = random_game(rng)
+        _, bounds = equilibrium_statistic_bounds(
+            game,
+            {"res": resource_statistic(game), "exp": expenditure_statistic(game)},
+        )
+
+        def expenditure(s):
+            return game.obtain_cost_a(sum(s)) + sum(
+                cost(a) for cost, a in zip(game.assign_costs_a, s))
+
+        oracle = {"res": _matrix_game_bounds(game, sum),
+                  "exp": _matrix_game_bounds(game, expenditure)}
+        for name, (lo, hi) in oracle.items():
+            assert abs(bounds[name]["min"][0] - lo) <= BOUNDS_ORACLE_TOL, (name, lo)
+            assert abs(bounds[name]["max"][0] - hi) <= BOUNDS_ORACLE_TOL, (name, hi)

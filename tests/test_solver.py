@@ -153,6 +153,26 @@ class TestRowDuals:
         assert sol.status == INFEASIBLE and sol.row_duals is None
 
 
+class TestReducedCosts:
+    @pytest.mark.parametrize("method", ["highs", "highs-ds", "highs-ipm"])
+    def test_sign_follows_sense(self, method):
+        # max x0 + 2 x1 s.t. x0 + x1 <= 3, x0 <= 2: x = (0, 3); raising
+        # x0's lower bound by one unit moves the optimum by -1, x1 is basic
+        lp = dataclasses.replace(small_lp("max"), objective=np.array([1.0, 2.0]))
+        sol = ScipyHighsBackend(method).solve(lp)
+        assert sol.x == pytest.approx([0.0, 3.0], abs=1e-9)
+        assert sol.reduced_costs == pytest.approx([-1.0, 0.0], abs=1e-9)
+        lp = dataclasses.replace(lp, sense="min", objective=np.array([-1.0, -2.0]))
+        sol = ScipyHighsBackend(method).solve(lp)
+        assert sol.objective == pytest.approx(-6.0)
+        assert sol.reduced_costs == pytest.approx([1.0, 0.0], abs=1e-9)
+
+    def test_not_optimal_has_no_reduced_costs(self):
+        infeasible = dataclasses.replace(small_lp(), rhs=np.array([-1.0, 2.0]))
+        sol = ScipyHighsBackend().solve(infeasible)
+        assert sol.status == INFEASIBLE and sol.reduced_costs is None
+
+
 class TestBackendRegistry:
     @pytest.mark.parametrize("name", ["highs", "highs-ds", "highs-ipm"])
     def test_known_backends(self, name):
