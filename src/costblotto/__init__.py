@@ -12,7 +12,6 @@ from .config import (
     ConfigError,
     GridRange,
     SweepSpec,
-    game_to_config,
     load_game,
     load_sweep_spec,
     parse_game_config,
@@ -57,7 +56,6 @@ from .reduction import (
     SunkCostGame,
     build_sunk_cost,
     map_strategy,
-    obtained_resources,
     unmap_strategy,
 )
 from .solver import LinearProgram, SolverFailureError, get_backend
@@ -105,7 +103,6 @@ __all__ = [
     "exhaustive_equilibrium_strategies",
     "expected_payoff",
     "expenditure_statistic",
-    "game_to_config",
     "get_backend",
     "load_game",
     "load_sweep_spec",
@@ -114,7 +111,6 @@ __all__ = [
     "marginals_from_mixed",
     "matrix_game_solve",
     "mix_strategies",
-    "obtained_resources",
     "parse_game_config",
     "parse_sweep_spec",
     "payoff_costs",

@@ -74,10 +74,10 @@ def _unmapped(xi_hat: MixedStrategy, budget: int) -> MixedStrategy:
     )
 
 
-def _solve_game(game: CostBlottoGame, backend):
+def _solve_game(game: CostBlottoGame):
     """One A-perspective solve: the result and both players' equilibrium
     strategies, B's read from the LP's row duals."""
-    result = solve(build_minimax_lp(build_sunk_cost(game), "A"), backend)
+    result = solve(build_minimax_lp(build_sunk_cost(game), "A"))
     if result.status != OPTIMAL:
         raise SolverFailureError(f"minimax solve failed: {result.status} {result.message}")
     xi_a = _unmapped(decompose_flow(result.flow), game.budget_a)
@@ -85,13 +85,12 @@ def _solve_game(game: CostBlottoGame, backend):
     return result, xi_a, xi_b
 
 
-def cmd_solve(config: str, player: str, out: str, backend=None) -> dict:
+def cmd_solve(config: str, player: str, out: str) -> dict:
     """Solve for one player's equilibrium strategy and write it as JSON."""
     if player not in ("A", "B"):
         raise ConfigError(f"player must be 'A' or 'B', got {player!r}")
     game = load_game(config)
-    backend = backend if backend is not None else get_backend()
-    result, xi_a, xi_b = _solve_game(game, backend)
+    result, xi_a, xi_b = _solve_game(game)
     is_eq, gap_a, gap_b = certify_equilibrium(game, xi_a, xi_b)
     if not is_eq:
         raise SolverFailureError(
@@ -124,7 +123,7 @@ _STATISTICS = {
 }
 
 
-def cmd_bounds(config: str, statistic: str, out: str, backend=None) -> dict:
+def cmd_bounds(config: str, statistic: str, out: str) -> dict:
     """Extremal equilibrium values of a statistic for player A, with certified
     witnesses and the size of the optimal face they were optimized over."""
     if statistic not in _STATISTICS:
@@ -132,10 +131,8 @@ def cmd_bounds(config: str, statistic: str, out: str, backend=None) -> dict:
             f"statistic must be one of {sorted(_STATISTICS)}, got {statistic!r}"
         )
     game = load_game(config)
-    backend = backend if backend is not None else get_backend()
     base, bounds = equilibrium_statistic_bounds(
-        game, {statistic: _STATISTICS[statistic](game)}, backend=backend
-    )
+        game, {statistic: _STATISTICS[statistic](game)})
     xi_b = _unmapped(decompose_flow(base.opponent_flow), game.budget_b)
     fixed, tight = face_masks(base.solution)
     payload = {"statistic": statistic, "player": "A", "value": base.value,
@@ -230,7 +227,6 @@ def classify_hypothesis_case(n: int, budget: int, c0_inv: float) -> int:
 def _check_hypothesis_point(n: int, budget: int, c0_inv: float,
                             lo: float, hi: float, value: float) -> dict:
     case = classify_hypothesis_case(n, budget, c0_inv)
-    q = int(round(c0_inv)) if case != 2 else int(c0_inv)
     point = {
         "n": n, "D": budget, "c0_inv": c0_inv, "case": case,
         "min_resources": lo, "max_resources": hi, "value": value,
@@ -242,7 +238,7 @@ def _check_hypothesis_point(n: int, budget: int, c0_inv: float,
         point.update(expected_min=expected, expected_max=expected,
                      note=f"unique equilibrium resources {expected}")
     elif case == 2:
-        expected = min(budget, n * q)
+        expected = min(budget, n * int(c0_inv))
         ok = abs(lo - expected) <= HYPOTHESIS_TOL and abs(hi - expected) <= HYPOTHESIS_TOL
         point.update(expected_min=expected, expected_max=expected,
                      note=f"unique equilibrium resources {expected}")
@@ -261,7 +257,7 @@ def _check_hypothesis_point(n: int, budget: int, c0_inv: float,
     return point
 
 
-def cmd_check_hypothesis(spec: str, out: str, backend=None) -> dict:
+def cmd_check_hypothesis(spec: str, out: str) -> dict:
     """Check every grid point against the equilibrium-resource case rules.
 
     Requires equal budget grids for the two players; each point is solved for
@@ -274,30 +270,28 @@ def cmd_check_hypothesis(spec: str, out: str, backend=None) -> dict:
             "check-hypothesis requires identical budget_A and budget_B grids"
         )
     points = []
-    for n in sweep.n.values():
-        for d in sweep.budget_a.values():
-            for c0_inv in sweep.c0_inv.values():
-                n, d = int(n), int(d)
-                game = sweep_point_game(n, d, d, c0_inv)
-                base, bounds = equilibrium_statistic_bounds(
-                    game, {"resources": resource_statistic(game)}, backend=backend
-                )
-                point = _check_hypothesis_point(
-                    n, d, c0_inv,
-                    bounds["resources"]["min"][0], bounds["resources"]["max"][0],
-                    base.value,
-                )
-                points.append(point)
-                flags = "".join(
-                    f" [{side} boundary]" for side in ("min", "max")
-                    if point[f"boundary_{side}"]
-                )
-                print(
-                    f"{'PASS' if point['pass'] else 'FAIL'} n={n} D={d} "
-                    f"c0_inv={_fmt(c0_inv)} case={point['case']} "
-                    f"resources=[{_fmt(point['min_resources'])}, "
-                    f"{_fmt(point['max_resources'])}]{flags}"
-                )
+    for n, d, d_b, c0_inv in sweep.points():
+        if d_b != d:
+            continue
+        game = sweep_point_game(n, d, d, c0_inv)
+        base, bounds = equilibrium_statistic_bounds(
+            game, {"resources": resource_statistic(game)})
+        point = _check_hypothesis_point(
+            n, d, c0_inv,
+            bounds["resources"]["min"][0], bounds["resources"]["max"][0],
+            base.value,
+        )
+        points.append(point)
+        flags = "".join(
+            f" [{side} boundary]" for side in ("min", "max")
+            if point[f"boundary_{side}"]
+        )
+        print(
+            f"{'PASS' if point['pass'] else 'FAIL'} n={n} D={d} "
+            f"c0_inv={_fmt(c0_inv)} case={point['case']} "
+            f"resources=[{_fmt(point['min_resources'])}, "
+            f"{_fmt(point['max_resources'])}]{flags}"
+        )
     passed = sum(p["pass"] for p in points)
     report = {
         "points": points,
@@ -313,11 +307,10 @@ def cmd_check_hypothesis(spec: str, out: str, backend=None) -> dict:
     return report
 
 
-def cmd_oracle_diff(config: str, out: str | None = None, backend=None) -> dict:
+def cmd_oracle_diff(config: str) -> dict:
     """Compare the flow solver's value against the brute-force oracle."""
     game = load_game(config)
-    backend = backend if backend is not None else get_backend()
-    result, xi_a, xi_b = _solve_game(game, backend)
+    result, xi_a, xi_b = _solve_game(game)
     oracle_value, _, _ = matrix_game_solve(build_matrix(game))
     diff = abs(result.value - float(oracle_value))
     is_eq, gap_a, gap_b = certify_equilibrium(game, xi_a, xi_b)
@@ -334,21 +327,18 @@ def cmd_oracle_diff(config: str, out: str | None = None, backend=None) -> dict:
         "within_tolerance": bool(diff <= ORACLE_DIFF_TOL and is_eq),
     }
     print(json.dumps(report, indent=2, sort_keys=True))
-    if out is not None:
-        _write_json(Path(out) / "oracle_diff.json", report)
     return report
 
 
-def cmd_lp_stats(config: str, out: str | None = None, backend=None) -> dict:
+def cmd_lp_stats(config: str) -> dict:
     """Report LP sizes, the LP method, and build/solve times for a config."""
     game = load_game(config)
-    backend = backend if backend is not None else get_backend()
     sunk = build_sunk_cost(game)
     t0 = time.perf_counter()
     model = build_minimax_lp(sunk, "A")
     build_ms = (time.perf_counter() - t0) * 1000
     t0 = time.perf_counter()
-    result = solve(model, backend)
+    result = solve(model)
     solve_ms = (time.perf_counter() - t0) * 1000
     report = {
         "n": game.n,
@@ -362,15 +352,13 @@ def cmd_lp_stats(config: str, out: str | None = None, backend=None) -> dict:
         "edges_opp": model.graph_opp.num_edges,
         "build_ms": round(build_ms, 3),
         "solve_ms": round(solve_ms, 3),
-        "method": backend.method,
+        "method": get_backend().method,
         "iterations": result.solution.iterations,
         "crossover_iterations": result.solution.crossover_iterations,
         "status": result.status,
         "value": result.value if result.status == OPTIMAL else None,
     }
     print(json.dumps(report, indent=2, sort_keys=True))
-    if out is not None:
-        _write_json(Path(out) / "lp_stats.json", report)
     return report
 
 

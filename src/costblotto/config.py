@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .game import CostBlottoGame, CostFunction, Valuation
@@ -136,38 +135,6 @@ def parse_game_config(data: dict) -> CostBlottoGame:
         )
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
-
-
-def _json_number(x):
-    if isinstance(x, Fraction):
-        return float(x)
-    return x
-
-
-def cost_to_spec(cost: CostFunction) -> dict:
-    if cost.kind == "table":
-        return {"kind": "table", "values": [_json_number(x) for x in cost.table]}
-    return {"kind": cost.kind, "coeff": _json_number(cost.coefficient)}
-
-
-def valuation_to_spec(val: Valuation) -> dict:
-    if val.kind == "sign":
-        return {"kind": "sign", "weight": _json_number(val.weight)}
-    return {"kind": "table", "rows": [[_json_number(x) for x in row] for row in val.rows]}
-
-
-def game_to_config(game: CostBlottoGame) -> dict:
-    """Serialize a game back to its JSON form (rationals become floats)."""
-    return {
-        "n": game.n,
-        "budget_A": game.budget_a,
-        "budget_B": game.budget_b,
-        "valuations": [valuation_to_spec(v) for v in game.valuations],
-        "assign_costs_A": [cost_to_spec(c) for c in game.assign_costs_a],
-        "assign_costs_B": [cost_to_spec(c) for c in game.assign_costs_b],
-        "obtain_cost_A": cost_to_spec(game.obtain_cost_a),
-        "obtain_cost_B": cost_to_spec(game.obtain_cost_b),
-    }
 
 
 def load_game(path: str | Path) -> CostBlottoGame:

@@ -78,10 +78,6 @@ class LayeredGraph:
             arr.flags.writeable = False
 
     @property
-    def layers(self) -> int:
-        return self.n_hat + 1
-
-    @property
     def num_nodes(self) -> int:
         return (self.n_hat + 1) * (self.budget + 1)
 
@@ -96,9 +92,6 @@ class LayeredGraph:
     @property
     def sink(self) -> int:
         return self.num_nodes - 1
-
-    def node_index(self, layer: int, cumulative: int) -> int:
-        return layer * (self.budget + 1) + cumulative
 
     def edge_index(self, field: int, tail: int, assign: int) -> int:
         if not (1 <= field <= self.n_hat and 0 <= tail and 0 <= assign
@@ -165,15 +158,15 @@ class StrategyFlow:
         balance[self.graph.sink] -= 1.0
         return balance
 
-    def validate(self, eps: float = FEAS_EPS) -> None:
-        if self.edge_flow.min(initial=0.0) < -eps:
+    def validate(self) -> None:
+        if self.edge_flow.min(initial=0.0) < -FEAS_EPS:
             raise InvalidFlowError(
-                f"negative edge flow {self.edge_flow.min()} beyond tolerance {eps}"
+                f"negative edge flow {self.edge_flow.min()} beyond tolerance {FEAS_EPS}"
             )
         worst = float(np.abs(self.node_imbalance()).max())
-        if worst > eps:
+        if worst > FEAS_EPS:
             raise InvalidFlowError(
-                f"flow conservation violated by {worst} (tolerance {eps})"
+                f"flow conservation violated by {worst} (tolerance {FEAS_EPS})"
             )
 
 
@@ -193,11 +186,8 @@ class MinimaxLP:
     program: LinearProgram
     graph_self: LayeredGraph
     graph_opp: LayeredGraph
-    perspective: str
     flow_slice: slice
     marginal_slice: slice
-    payoff_slice: slice
-    potential_slice: slice
     value_index: int
 
     @property
@@ -312,11 +302,8 @@ def build_minimax_lp(sunk: SunkCostGame, perspective: str = "A") -> MinimaxLP:
         program=program,
         graph_self=gs,
         graph_opp=go,
-        perspective=perspective,
         flow_slice=slice(0, e_s),
         marginal_slice=slice(col_h, col_h + n_marg),
-        payoff_slice=slice(col_q, col_q + n_pay),
-        potential_slice=slice(col_pi, col_pi + v_o),
         value_index=col_t,
     )
 
@@ -406,7 +393,6 @@ def _optimal_face(model: MinimaxLP, sol: BackendSolution) -> LinearProgram:
 def equilibrium_statistic_bounds(
     game: CostBlottoGame,
     statistics: Mapping[str, Sequence[Sequence[float]]],
-    backend=None,
 ) -> tuple[SolveResult, dict[str, dict[str, tuple[float, SolveResult]]]]:
     """Extremal equilibrium values of marginal-linear statistics for player A.
 
@@ -416,7 +402,7 @@ def equilibrium_statistic_bounds(
     share stage one and its face, which keeps min and max comparable
     bound-for-bound.
     """
-    backend = backend if backend is not None else get_backend()
+    backend = get_backend()
     model = build_minimax_lp(build_sunk_cost(game), "A")
     base = solve(model, backend)
     if base.status != OPTIMAL:

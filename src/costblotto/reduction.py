@@ -11,7 +11,7 @@ assignments over the original ``n``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .game import (
     CostBlottoGame,
@@ -98,25 +98,13 @@ def map_strategy(s: Iterable[int], budget: int) -> PureStrategy:
     return s + (budget - sum(s),)
 
 
-def unmap_strategy(s_hat: Iterable[int], budget: int | None = None) -> PureStrategy:
+def unmap_strategy(s_hat: Iterable[int], budget: int) -> PureStrategy:
     """Drop the unspent-resources coordinate of a full assignment."""
     s_hat = tuple(s_hat)
     if len(s_hat) < 2:
         raise InvalidStrategyError(f"strategy {s_hat} too short to unmap")
-    if budget is None:
-        budget = sum(s_hat)
     check_full_assignment(s_hat, budget, len(s_hat))
     return s_hat[:-1]
-
-
-def obtained_resources(s_hat: Iterable[int], budget: int) -> int:
-    """How many resources a sunk-cost strategy actually obtains.
-
-    This is the budget minus the assignment to the extra battlefield.
-    """
-    s_hat = tuple(s_hat)
-    check_full_assignment(s_hat, budget, len(s_hat))
-    return budget - s_hat[-1]
 
 
 def oriented_valuations(sunk: SunkCostGame, player: str) -> tuple[int, int, tuple[ValueTable, ...]]:

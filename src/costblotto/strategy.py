@@ -9,7 +9,6 @@ an equilibrium of the original game with costs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -71,20 +70,10 @@ class Marginals:
     def budget(self) -> int:
         return len(self.tables[0]) - 1
 
-    def expectation(self, weights: Sequence[Sequence[Number]]) -> Number:
-        """Expected value of per-battlefield assignment weights."""
-        if len(weights) != self.n_hat:
-            raise ValueError(f"expected {self.n_hat} weight rows, got {len(weights)}")
-        return sum(
-            p * w
-            for row, wrow in zip(self.tables, weights)
-            for p, w in zip(row, wrow)
-        )
-
 
 def marginals_from_flow(flow: StrategyFlow) -> Marginals:
     """Collapse a unit flow to its per-battlefield marginals."""
-    flow.validate(FEAS_EPS)
+    flow.validate()
     g = flow.graph
     tables = np.zeros((g.n_hat, g.budget + 1))
     np.add.at(tables, (g.edge_field - 1, g.edge_assign), flow.edge_flow)
@@ -115,7 +104,7 @@ def decompose_flow(flow: StrategyFlow) -> MixedStrategy:
     one support entry per edge is produced, and the result's marginals match
     the flow's.
     """
-    flow.validate(FEAS_EPS)
+    flow.validate()
     g = flow.graph
     d = g.budget
     residual = flow.edge_flow.copy()

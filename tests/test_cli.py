@@ -11,7 +11,7 @@ from costblotto.cli import (
     classify_hypothesis_case,
     main,
 )
-from costblotto.config import sweep_point_game
+from costblotto.config import parse_sweep_spec, sweep_point_game
 from costblotto.solver import BACKEND_ENV_VAR, NUMERIC_FAILURE, ScipyHighsBackend
 from costblotto.strategy import CERTIFICATE_EPS
 
@@ -205,6 +205,20 @@ class TestCheckHypothesis:
         assert report["summary"]["all_pass"] is True
         assert [p["case"] for p in report["points"]] == [3, 3, 1]
 
+    def test_points_follow_sweep_order(self, tmp_path):
+        grid = {
+            "n": {"min": 2, "max": 3},
+            "budget_A": {"min": 4, "max": 5},
+            "budget_B": {"min": 4, "max": 5},
+            "c0_inv": {"min": 1, "max": 2, "interval": 1},
+        }
+        spec = _write_spec(tmp_path, grid)
+        report = cli.cmd_check_hypothesis(spec, str(tmp_path / "out"))
+        expected = [(n, d_a, c) for n, d_a, d_b, c in parse_sweep_spec(grid).points()
+                    if d_a == d_b]
+        assert len(expected) == 8
+        assert [(p["n"], p["D"], p["c0_inv"]) for p in report["points"]] == expected
+
     def test_unequal_budgets_rejected(self, tmp_path, capsys):
         spec = _write_spec(tmp_path, {
             "n": {"min": 2, "max": 2},
@@ -284,12 +298,21 @@ class TestBrokenDuals:
         ["oracle-diff"],
     ])
     def test_exit_code_3(self, args, config_path, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "get_backend", ConservationBreakingBackend)
+        monkeypatch.setattr(minimax, "get_backend", ConservationBreakingBackend)
         out = [] if args[0] == "oracle-diff" else ["--out", str(tmp_path / "out")]
         assert main(args + ["--config", config_path] + out) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "SolverFailureError"
         assert not (tmp_path / "out").exists()
+
+    def test_check_hypothesis_exit_code_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(minimax, "get_backend", ConservationBreakingBackend)
+        spec = _write_spec(tmp_path, SMALL_SWEEP)
+        out = tmp_path / "out"
+        assert main(["check-hypothesis", "--spec", spec, "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "SolverFailureError"
+        assert not (out / "hypothesis_report.json").exists()
 
 
 class FaceClosingBackend(ScipyHighsBackend):
@@ -315,7 +338,7 @@ class FaceClosingBackend(ScipyHighsBackend):
 class TestInfeasibleFace:
     def test_bounds_exit_code_3(self, config_path, tmp_path, monkeypatch, capsys):
         game = load_game(config_path)
-        monkeypatch.setattr(cli, "get_backend", lambda: FaceClosingBackend(game))
+        monkeypatch.setattr(minimax, "get_backend", lambda: FaceClosingBackend(game))
         out = tmp_path / "out"
         assert main(["bounds", "--statistic", "resources", "--config", config_path,
                      "--out", str(out)]) == 3

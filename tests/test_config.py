@@ -1,12 +1,10 @@
 import json
-import random
 
 import pytest
 
 from costblotto import (
     ConfigError,
     GridRange,
-    game_to_config,
     load_game,
     load_sweep_spec,
     parse_game_config,
@@ -15,7 +13,6 @@ from costblotto import (
     sweep_point_game,
 )
 from costblotto.config import parse_cost_spec, parse_valuation_spec
-from conftest import random_game
 
 EXAMPLE = {
     "n": 2,
@@ -88,28 +85,6 @@ class TestParseGameConfig:
         data["budget_A"] = 2.5
         with pytest.raises(ConfigError, match="budget_A"):
             parse_game_config(data)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_round_trip(self, seed):
-        rng = random.Random(seed)
-        game = random_game(rng)
-        rebuilt = parse_game_config(game_to_config(game))
-        assert rebuilt.n == game.n
-        assert rebuilt.budget_a == game.budget_a
-        assert rebuilt.budget_b == game.budget_b
-        for _ in range(10):
-            s_a = tuple(0 for _ in range(game.n))
-            s_b = tuple(0 for _ in range(game.n))
-            assert payoff_costs(rebuilt, s_a, s_b) == pytest.approx(
-                payoff_costs(game, s_a, s_b))
-        # full payoff agreement on a few random profiles
-        from costblotto import enumerate_strategies
-        pool_a = enumerate_strategies(game.budget_a, game.n)
-        pool_b = enumerate_strategies(game.budget_b, game.n)
-        for _ in range(20):
-            s_a, s_b = rng.choice(pool_a), rng.choice(pool_b)
-            assert payoff_costs(rebuilt, s_a, s_b) == pytest.approx(
-                payoff_costs(game, s_a, s_b))
 
 
 class TestLoadGame:

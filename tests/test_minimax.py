@@ -46,8 +46,8 @@ class TestLayeredGraph:
 
     def test_source_sink(self):
         graph = LayeredGraph(3, 2)
-        assert graph.source == graph.node_index(0, 0) == 0
-        assert graph.sink == graph.node_index(3, 2)
+        assert graph.source == graph.tail_nodes()[graph.edge_index(1, 0, 0)] == 0
+        assert graph.sink == graph.head_nodes()[graph.edge_index(3, 0, 2)] == 11
 
     def test_edges_advance_one_layer(self):
         graph = LayeredGraph(3, 4)

@@ -7,7 +7,6 @@ from costblotto import (
     build_sunk_cost,
     enumerate_strategies,
     map_strategy,
-    obtained_resources,
     payoff_zero,
     unmap_strategy,
 )
@@ -84,7 +83,7 @@ class TestStrategyMapping:
     @pytest.mark.parametrize(
         "s_hat,expected", [((0, 1, 1), (0, 1)), ((0, 0, 2), (0, 0)), ((1, 1, 0), (1, 1))])
     def test_unmap_examples(self, s_hat, expected):
-        assert unmap_strategy(s_hat) == expected
+        assert unmap_strategy(s_hat, 2) == expected
 
     def test_map_rejects_overspend(self):
         with pytest.raises(InvalidStrategyError):
@@ -104,12 +103,6 @@ class TestStrategyMapping:
         for s, s_hat in zip(partial, mapped):
             assert unmap_strategy(s_hat, budget=d) == s
             assert map_strategy(unmap_strategy(s_hat, budget=d), d) == s_hat
-
-    @pytest.mark.parametrize("d", range(7))
-    def test_obtained_resources(self, d):
-        for s in enumerate_strategies(d, 3):
-            assert obtained_resources(map_strategy(s, d), d) == sum(s)
-        assert obtained_resources((0,) * 3 + (d,), d) == 0
 
 
 class TestPayoffPreservation:

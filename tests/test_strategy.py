@@ -46,12 +46,6 @@ class TestMarginals:
         with pytest.raises(ValueError):
             Marginals(tables=((1.0,), (0.5, 0.5)))
 
-    def test_expectation(self):
-        m = Marginals(tables=((0.5, 0.5), (0.0, 1.0)))
-        assert m.expectation(((0, 2), (0, 10))) == pytest.approx(11.0)
-        with pytest.raises(ValueError):
-            m.expectation(((0, 2),))
-
     def test_shape_properties(self):
         m = Marginals(tables=((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)))
         assert m.n_hat == 2
