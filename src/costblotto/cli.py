@@ -232,13 +232,8 @@ def _check_hypothesis_point(n: int, budget: int, c0_inv: float,
         "min_resources": lo, "max_resources": hi, "value": value,
         "boundary_min": False, "boundary_max": False,
     }
-    if case == 1:
-        expected = budget
-        ok = abs(lo - expected) <= HYPOTHESIS_TOL and abs(hi - expected) <= HYPOTHESIS_TOL
-        point.update(expected_min=expected, expected_max=expected,
-                     note=f"unique equilibrium resources {expected}")
-    elif case == 2:
-        expected = min(budget, n * int(c0_inv))
+    if case in (1, 2):
+        expected = budget if case == 1 else min(budget, n * int(c0_inv))
         ok = abs(lo - expected) <= HYPOTHESIS_TOL and abs(hi - expected) <= HYPOTHESIS_TOL
         point.update(expected_min=expected, expected_max=expected,
                      note=f"unique equilibrium resources {expected}")

@@ -48,69 +48,61 @@ def _is_count(x) -> bool:
 class CostFunction:
     """Non-decreasing cost of assigning or obtaining ``t`` resources.
 
-    ``kind`` is one of ``"table"``, ``"linear"`` or ``"quadratic"``.  Table
-    costs store one value per ``t`` in ``0..domain_max``; parametric kinds
-    store a single nonnegative coefficient.  ``f(0)`` need not be zero.
+    ``values[t]`` is the cost of ``t`` for ``t`` in ``0..domain_max``; the
+    linear and quadratic constructors fill the table from a single
+    nonnegative coefficient.  ``f(0)`` need not be zero.
     """
 
-    kind: str
-    domain_max: int
-    coefficient: Number | None = None
-    table: tuple[Number, ...] | None = None
+    values: tuple[Number, ...]
 
     def __post_init__(self):
-        if self.kind not in ("table", "linear", "quadratic"):
-            raise ValueError(f"unknown cost function kind {self.kind!r}")
-        if not _is_count(self.domain_max):
-            raise ValueError(f"domain_max must be a nonnegative int, got {self.domain_max!r}")
-        if self.kind == "table":
-            if self.table is None:
-                raise ValueError("table cost function requires a table")
-            values = tuple(self.table)
-            object.__setattr__(self, "table", values)
-            if len(values) != self.domain_max + 1:
+        values = tuple(self.values)
+        object.__setattr__(self, "values", values)
+        if not values:
+            raise ValueError("cost table must have at least one entry")
+        for t in range(len(values) - 1):
+            if values[t + 1] < values[t]:
                 raise ValueError(
-                    f"cost table has {len(values)} entries, expected {self.domain_max + 1}"
+                    f"cost table decreases at t={t + 1}: "
+                    f"{values[t + 1]!r} < {values[t]!r}"
                 )
-            for t in range(len(values) - 1):
-                if values[t + 1] < values[t]:
-                    raise ValueError(
-                        f"cost table decreases at t={t + 1}: "
-                        f"{values[t + 1]!r} < {values[t]!r}"
-                    )
-        else:
-            if self.coefficient is None:
-                raise ValueError(f"{self.kind} cost function requires a coefficient")
-            if self.coefficient < 0:
-                raise ValueError(
-                    f"{self.kind} cost with negative coefficient "
-                    f"{self.coefficient!r} would be decreasing"
-                )
+
+    @classmethod
+    def _parametric(cls, kind: str, coefficient: Number, domain_max: int,
+                    cost) -> "CostFunction":
+        if not _is_count(domain_max):
+            raise ValueError(f"domain_max must be a nonnegative int, got {domain_max!r}")
+        if coefficient < 0:
+            raise ValueError(
+                f"{kind} cost with negative coefficient {coefficient!r} would be decreasing"
+            )
+        return cls(values=tuple(cost(t) for t in range(domain_max + 1)))
 
     @classmethod
     def zero(cls, domain_max: int) -> "CostFunction":
-        return cls(kind="linear", domain_max=domain_max, coefficient=0)
+        return cls.linear(0, domain_max)
 
     @classmethod
     def linear(cls, coefficient: Number, domain_max: int) -> "CostFunction":
-        return cls(kind="linear", domain_max=domain_max, coefficient=coefficient)
+        return cls._parametric("linear", coefficient, domain_max, lambda t: coefficient * t)
 
     @classmethod
     def quadratic(cls, coefficient: Number, domain_max: int) -> "CostFunction":
-        return cls(kind="quadratic", domain_max=domain_max, coefficient=coefficient)
+        return cls._parametric("quadratic", coefficient, domain_max,
+                               lambda t: coefficient * t * t)
 
     @classmethod
     def from_table(cls, values: Sequence[Number]) -> "CostFunction":
-        return cls(kind="table", domain_max=len(values) - 1, table=tuple(values))
+        return cls(values=tuple(values))
+
+    @property
+    def domain_max(self) -> int:
+        return len(self.values) - 1
 
     def __call__(self, t: int) -> Number:
-        if not _is_count(t) or t > self.domain_max:
+        if not _is_count(t) or t >= len(self.values):
             raise ValueError(f"cost argument {t!r} outside domain 0..{self.domain_max}")
-        if self.kind == "table":
-            return self.table[t]
-        if self.kind == "linear":
-            return self.coefficient * t
-        return self.coefficient * t * t
+        return self.values[t]
 
 
 @dataclass(frozen=True)

@@ -125,7 +125,12 @@ class LayeredGraph:
 
 @dataclass(frozen=True)
 class StrategyFlow:
-    """An edge-flow vector over a layered graph, indexed like its edges."""
+    """A unit source-to-sink flow over a layered graph, indexed like its edges.
+
+    Construction rejects entries below ``-FEAS_EPS``, sets those under
+    ``FLOW_DUST`` to zero, then checks conservation at ``FEAS_EPS``; each
+    failure raises :class:`InvalidFlowError`, so every instance is valid.
+    """
 
     graph: LayeredGraph
     edge_flow: np.ndarray
@@ -136,9 +141,18 @@ class StrategyFlow:
             raise InvalidFlowError(
                 f"flow has shape {flow.shape}, expected ({self.graph.num_edges},)"
             )
-        flow = flow.copy()
+        worst_negative = float(flow.min(initial=0.0))
+        if worst_negative < -FEAS_EPS:
+            raise InvalidFlowError(f"negative entry {worst_negative} beyond {FEAS_EPS}")
+        flow = np.maximum(flow, 0.0)
+        flow[flow < FLOW_DUST] = 0.0
         flow.flags.writeable = False
         object.__setattr__(self, "edge_flow", flow)
+        worst = float(np.abs(self.node_imbalance()).max())
+        if worst > FEAS_EPS:
+            raise InvalidFlowError(
+                f"flow conservation violated by {worst} (tolerance {FEAS_EPS})"
+            )
 
     @classmethod
     def from_mixed(cls, graph: LayeredGraph, xi: MixedStrategy) -> "StrategyFlow":
@@ -157,17 +171,6 @@ class StrategyFlow:
         balance[self.graph.source] += 1.0
         balance[self.graph.sink] -= 1.0
         return balance
-
-    def validate(self) -> None:
-        if self.edge_flow.min(initial=0.0) < -FEAS_EPS:
-            raise InvalidFlowError(
-                f"negative edge flow {self.edge_flow.min()} beyond tolerance {FEAS_EPS}"
-            )
-        worst = float(np.abs(self.node_imbalance()).max())
-        if worst > FEAS_EPS:
-            raise InvalidFlowError(
-                f"flow conservation violated by {worst} (tolerance {FEAS_EPS})"
-            )
 
 
 @dataclass(frozen=True)
@@ -308,19 +311,6 @@ def build_minimax_lp(sunk: SunkCostGame, perspective: str = "A") -> MinimaxLP:
     )
 
 
-def _solver_flow(graph: LayeredGraph, raw: np.ndarray) -> StrategyFlow:
-    """Clean a solver's flow: reject entries below ``-FEAS_EPS``, zero those
-    under ``FLOW_DUST``, then check conservation at ``FEAS_EPS``."""
-    worst_negative = float(raw.min(initial=0.0))
-    if worst_negative < -FEAS_EPS:
-        raise InvalidFlowError(f"negative entry {worst_negative} beyond {FEAS_EPS}")
-    f = np.maximum(raw, 0.0)
-    f[f < FLOW_DUST] = 0.0
-    flow = StrategyFlow(graph=graph, edge_flow=f)
-    flow.validate()
-    return flow
-
-
 def _result_from_solution(model: MinimaxLP, sol: BackendSolution,
                           witness: bool = False) -> SolveResult:
     if sol.status in (INFEASIBLE, UNBOUNDED):
@@ -333,9 +323,9 @@ def _result_from_solution(model: MinimaxLP, sol: BackendSolution,
     x = sol.x
     flow = opponent_flow = None
     try:
-        flow = _solver_flow(model.graph_self, x[model.flow_slice])
+        flow = StrategyFlow(model.graph_self, x[model.flow_slice])
         if not witness:  # the opponent-potential rows lead the <= rows
-            opponent_flow = _solver_flow(
+            opponent_flow = StrategyFlow(
                 model.graph_opp, sol.row_duals[:model.graph_opp.num_edges])
     except InvalidFlowError as exc:
         which = "flow" if flow is None else "opponent flow from the row duals"

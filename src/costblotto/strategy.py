@@ -73,7 +73,6 @@ class Marginals:
 
 def marginals_from_flow(flow: StrategyFlow) -> Marginals:
     """Collapse a unit flow to its per-battlefield marginals."""
-    flow.validate()
     g = flow.graph
     tables = np.zeros((g.n_hat, g.budget + 1))
     np.add.at(tables, (g.edge_field - 1, g.edge_assign), flow.edge_flow)
@@ -104,7 +103,6 @@ def decompose_flow(flow: StrategyFlow) -> MixedStrategy:
     one support entry per edge is produced, and the result's marginals match
     the flow's.
     """
-    flow.validate()
     g = flow.graph
     d = g.budget
     residual = flow.edge_flow.copy()
@@ -116,26 +114,16 @@ def decompose_flow(flow: StrategyFlow) -> MixedStrategy:
         assignment: list[int] = []
         cumulative = 0
         for field in range(1, g.n_hat + 1):
-            if field == g.n_hat:
-                # only the sink-bound edge can carry real flow in the last layer
-                a = d - cumulative
-                e = g.edge_index(field, cumulative, a)
-                if residual[e] <= 0:
-                    raise InvalidFlowError(
-                        f"stranded at battlefield {field} with cumulative "
-                        f"{cumulative} and {remaining} flow left to route"
-                    )
-            else:
-                base = g.edge_index(field, cumulative, 0)
-                candidates = residual[base:base + d - cumulative + 1]
-                a = int(np.argmax(candidates))
-                e = base + a
-                if candidates[a] <= 0:
-                    raise InvalidFlowError(
-                        f"stranded at battlefield {field} with cumulative "
-                        f"{cumulative} and {remaining} flow left to route"
-                    )
-            path.append(e)
+            # only the sink-bound edge can carry real flow in the last layer
+            lo = d - cumulative if field == g.n_hat else 0
+            base = g.edge_index(field, cumulative, 0)
+            a = lo + int(np.argmax(residual[base + lo:base + d - cumulative + 1]))
+            if residual[base + a] <= 0:
+                raise InvalidFlowError(
+                    f"stranded at battlefield {field} with cumulative "
+                    f"{cumulative} and {remaining} flow left to route"
+                )
+            path.append(base + a)
             assignment.append(a)
             cumulative += a
         bottleneck = float(residual[path].min())

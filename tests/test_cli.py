@@ -1,6 +1,9 @@
 import csv
 import dataclasses
+import importlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -355,6 +358,43 @@ class TestInfeasibleFace:
         assert "min_resources" not in row and "value" not in row
 
 
+class WitnessBreakingBackend(ScipyHighsBackend):
+    """Real solves, but every answer after the first (stage-one) one has 0.5
+    added to its first flow entry, so each stage-two witness breaks
+    conservation."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def solve(self, lp):
+        sol = super().solve(lp)
+        self.calls += 1
+        if self.calls == 1:
+            return sol
+        x = sol.x.copy()
+        x[0] += 0.5
+        return dataclasses.replace(sol, x=x)
+
+
+class TestUnusableWitness:
+    def test_bounds_exit_code_3(self, config_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(minimax, "get_backend", WitnessBreakingBackend)
+        out = tmp_path / "out"
+        assert main(["bounds", "--statistic", "resources", "--config", config_path,
+                     "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "SolverFailureError"
+        assert "unusable" in err["error"]["message"]
+        assert not out.exists()
+
+    def test_sweep_point_records_error(self, monkeypatch):
+        monkeypatch.setattr(minimax, "get_backend", WitnessBreakingBackend)
+        row = cli._sweep_point((2, 2, 2, 1.0))
+        assert row["error"].startswith("SolverFailureError: stage-two solution")
+        assert "min_resources" not in row and "value" not in row
+
+
 class TestErrorPaths:
     def test_missing_config(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path / "nope.json"),
@@ -387,3 +427,21 @@ class TestErrorPaths:
         assert main(["oracle-diff", "--config", config_path]) == 2
         err = json.loads(capsys.readouterr().err)
         assert "glop" in err["error"]["message"]
+
+
+def _module_map_rows():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("## Module map", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `(costblotto\.\w+)` \| (.*) \|$", table, re.MULTILINE)
+
+
+def test_readme_module_map_names_exist():
+    rows = _module_map_rows()
+    assert len(rows) == 8
+    missing = [
+        f"{module}.{name}"
+        for module, contents in rows
+        for name in re.findall(r"`([A-Za-z_]\w*)`", contents)
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []

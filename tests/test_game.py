@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -47,10 +48,26 @@ class TestCostFunction:
         with pytest.raises(ValueError):
             CostFunction.from_table((0, 2, 1))
 
+    def test_float_tables_match_expressions(self):
+        # filled left to right: 0.01 * (t * t) rounds differently for some t
+        lin, quad = CostFunction.linear(0.05, 50), CostFunction.quadratic(0.01, 50)
+        assert all(lin(t) == 0.05 * t for t in range(51))
+        assert all(quad(t) == 0.01 * t * t for t in range(51))
+
+    def test_single_field(self):
+        assert [f.name for f in dataclasses.fields(CostFunction)] == ["values"]
+        assert CostFunction.linear(1, 2) == CostFunction.from_table((0, 1, 2))
+
     @pytest.mark.parametrize("ctor", [CostFunction.linear, CostFunction.quadratic])
     def test_negative_coefficient_rejected(self, ctor):
+        # a one-entry table is monotone, so domain_max 0 needs its own check
+        for domain_max in (3, 0):
+            with pytest.raises(ValueError):
+                ctor(-0.5, domain_max)
+
+    def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
-            ctor(-0.5, 3)
+            CostFunction.from_table(())
 
     def test_out_of_domain(self):
         f = CostFunction.linear(1, 2)

@@ -77,7 +77,6 @@ class TestStrategyFlow:
     def test_point_mass_path(self):
         graph = LayeredGraph(3, 2)
         flow = StrategyFlow.from_mixed(graph, MixedStrategy.point_mass((0, 1, 1)))
-        flow.validate()
         assert np.isclose(flow.edge_flow.sum(), 3.0)
         assert np.count_nonzero(flow.edge_flow) == 3
 
@@ -85,7 +84,6 @@ class TestStrategyFlow:
         graph = LayeredGraph(3, 2)
         xi = MixedStrategy(support=(((0, 0, 2), 0.5), ((1, 1, 0), 0.5)))
         flow = StrategyFlow.from_mixed(graph, xi)
-        flow.validate()
         assert np.allclose(flow.node_imbalance(), 0.0)
 
     def test_conservation_violation_detected(self):
@@ -94,14 +92,26 @@ class TestStrategyFlow:
         broken = flow.edge_flow.copy()
         broken[graph.edge_index(2, 0, 0)] += 0.25
         with pytest.raises(InvalidFlowError):
-            StrategyFlow(graph=graph, edge_flow=broken).validate()
+            StrategyFlow(graph=graph, edge_flow=broken)
 
     def test_negative_flow_detected(self):
         graph = LayeredGraph(2, 1)
         bad = np.zeros(graph.num_edges)
         bad[0] = -0.5
         with pytest.raises(InvalidFlowError):
-            StrategyFlow(graph=graph, edge_flow=bad).validate()
+            StrategyFlow(graph=graph, edge_flow=bad)
+
+    def test_dust_zeroed_at_construction(self):
+        graph = LayeredGraph(3, 2)
+        path = StrategyFlow.from_mixed(graph, MixedStrategy.point_mass((0, 1, 1)))
+        off_path = [graph.edge_index(1, 0, 2), graph.edge_index(2, 0, 0)]
+        raw = path.edge_flow.copy()
+        raw[off_path] = [-5e-8, 5e-10]
+        flow = StrategyFlow(graph=graph, edge_flow=raw)
+        assert flow.edge_flow[off_path].tolist() == [0.0, 0.0]
+        raw[off_path[0]] = -5e-7
+        with pytest.raises(InvalidFlowError):
+            StrategyFlow(graph=graph, edge_flow=raw)
 
 
 def expected_counts(n_hat, d_self, d_opp):
@@ -156,7 +166,7 @@ class TestSolve:
         result = solve(build_minimax_lp(build_sunk_cost(example_game), "A"))
         assert result.status == "optimal"
         assert abs(result.value) <= 1e-8
-        result.flow.validate()
+        StrategyFlow(result.flow.graph, result.flow.edge_flow)
 
     def test_zero_game(self):
         sunk = SunkCostGame(
@@ -234,7 +244,7 @@ class TestOpponentFlow:
         sunk = build_sunk_cost(game)
         result = solve(build_minimax_lp(sunk, "A"))
         assert result.status == "optimal"
-        result.opponent_flow.validate()
+        StrategyFlow(result.opponent_flow.graph, result.opponent_flow.edge_flow)
         assert result.opponent_flow.graph == LayeredGraph(sunk.n_hat, game.budget_b)
         xi_a = _strategy(result.flow, game.budget_a)
         xi_b = _strategy(result.opponent_flow, game.budget_b)
@@ -307,7 +317,7 @@ class TestStatisticBounds:
         # a face witness's duals price the statistic, so it carries no B flow
         base, bounds = equilibrium_statistic_bounds(
             example_game, {"res": resource_statistic(example_game)})
-        base.opponent_flow.validate()
+        StrategyFlow(base.opponent_flow.graph, base.opponent_flow.edge_flow)
         for direction in ("min", "max"):
             assert bounds["res"][direction][1].opponent_flow is None
 
