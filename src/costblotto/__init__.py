@@ -26,7 +26,6 @@ from .game import (
     MixedStrategy,
     Valuation,
     enumerate_strategies,
-    expected_payoff,
     mix_strategies,
     payoff_costs,
     payoff_zero,
@@ -35,7 +34,6 @@ from .game import (
 from .minimax import (
     InvalidFlowError,
     LayeredGraph,
-    LpConstructionError,
     MinimaxLP,
     SolveResult,
     StrategyFlow,
@@ -80,7 +78,6 @@ __all__ = [
     "InvalidStrategyError",
     "LayeredGraph",
     "LinearProgram",
-    "LpConstructionError",
     "Marginals",
     "MatrixGame",
     "MinimaxLP",
@@ -101,7 +98,6 @@ __all__ = [
     "enumerate_strategies",
     "equilibrium_statistic_bounds",
     "exhaustive_equilibrium_strategies",
-    "expected_payoff",
     "expenditure_statistic",
     "get_backend",
     "load_game",

@@ -21,7 +21,6 @@ from .config import ConfigError, load_game, load_sweep_spec, sweep_point_game
 from .game import CostBlottoGame, MixedStrategy
 from .minimax import (
     InvalidFlowError,
-    LpConstructionError,
     build_minimax_lp,
     equilibrium_statistic_bounds,
     expenditure_statistic,
@@ -31,7 +30,7 @@ from .minimax import (
 )
 from .oracle import OracleSolveError, build_matrix, matrix_game_solve
 from .reduction import build_sunk_cost, unmap_strategy
-from .solver import OPTIMAL, SolverFailureError, get_backend
+from .solver import SolverFailureError, get_backend
 from .strategy import (
     CERTIFICATE_EPS,
     certify_equilibrium,
@@ -78,8 +77,6 @@ def _solve_game(game: CostBlottoGame):
     """One A-perspective solve: the result and both players' equilibrium
     strategies, B's read from the LP's row duals."""
     result = solve(build_minimax_lp(build_sunk_cost(game), "A"))
-    if result.status != OPTIMAL:
-        raise SolverFailureError(f"minimax solve failed: {result.status} {result.message}")
     xi_a = _unmapped(decompose_flow(result.flow), game.budget_a)
     xi_b = _unmapped(decompose_flow(result.opponent_flow), game.budget_b)
     return result, xi_a, xi_b
@@ -351,7 +348,7 @@ def cmd_lp_stats(config: str) -> dict:
         "iterations": result.solution.iterations,
         "crossover_iterations": result.solution.crossover_iterations,
         "status": result.status,
-        "value": result.value if result.status == OPTIMAL else None,
+        "value": result.value,
     }
     print(json.dumps(report, indent=2, sort_keys=True))
     return report
@@ -413,8 +410,7 @@ def main(argv: list[str] | None = None) -> int:
                 return 1
         elif args.command == "lp-stats":
             cmd_lp_stats(args.config)
-    except (SolverFailureError, LpConstructionError, OracleSolveError,
-            InvalidFlowError) as exc:
+    except (SolverFailureError, OracleSolveError, InvalidFlowError) as exc:
         _print_error(exc)
         return 3
     except (ConfigError, ValueError) as exc:

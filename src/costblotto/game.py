@@ -266,9 +266,10 @@ def payoff_zero(game: CostBlottoGame, s_a: Iterable[int], s_b: Iterable[int]) ->
     """
     s_a = check_partial_assignment(s_a, game.budget_a, game.n)
     s_b = check_partial_assignment(s_b, game.budget_b, game.n)
-    pay_a, _ = payoff_costs(game, s_a, s_b)
+    value = sum(game.valuations[i](s_a[i], s_b[i]) for i in range(game.n))
+    cost_a = sum(game.assign_costs_a[i](s_a[i]) for i in range(game.n))
     cost_b = sum(game.assign_costs_b[i](s_b[i]) for i in range(game.n))
-    return pay_a + cost_b + game.obtain_cost_b(sum(s_b))
+    return value - cost_a - game.obtain_cost_a(sum(s_a)) + cost_b + game.obtain_cost_b(sum(s_b))
 
 
 def enumerate_strategies(budget: int, n: int, full: bool = False,
@@ -351,34 +352,6 @@ def mix_strategies(xi_1: MixedStrategy, xi_2: MixedStrategy,
         probs[s] = probs.get(s, 0) + (1 - weight) * p
     entries = tuple(sorted((s, p) for s, p in probs.items() if p > 0))
     return MixedStrategy(support=entries)
-
-
-def expected_payoff(game: CostBlottoGame, xi_a: MixedStrategy, xi_b: MixedStrategy,
-                    variant: str = "costs") -> tuple[Number, Number]:
-    """Expected payoffs of a mixed-strategy profile.
-
-    ``variant`` selects the game with costs or its zero-sum companion; for
-    the companion the returned pair sums to zero.
-    """
-    if variant not in ("costs", "zero"):
-        raise ValueError(f"unknown payoff variant {variant!r}")
-    for s, _ in xi_a.support:
-        check_partial_assignment(s, game.budget_a, game.n)
-    for s, _ in xi_b.support:
-        check_partial_assignment(s, game.budget_b, game.n)
-    if variant == "costs":
-        total_a = total_b = 0
-        for s_a, p_a in xi_a.support:
-            for s_b, p_b in xi_b.support:
-                pay_a, pay_b = payoff_costs(game, s_a, s_b)
-                total_a += p_a * p_b * pay_a
-                total_b += p_a * p_b * pay_b
-        return total_a, total_b
-    total = 0
-    for s_a, p_a in xi_a.support:
-        for s_b, p_b in xi_b.support:
-            total += p_a * p_b * payoff_zero(game, s_a, s_b)
-    return total, -total
 
 
 def swap_players(game: CostBlottoGame) -> CostBlottoGame:

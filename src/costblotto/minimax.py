@@ -21,27 +21,13 @@ import scipy.sparse as sp
 
 from .game import CostBlottoGame, MixedStrategy, check_full_assignment, _check_player
 from .reduction import SunkCostGame, build_sunk_cost, oriented_valuations
-from .solver import (
-    INFEASIBLE,
-    NUMERIC_FAILURE,
-    OPTIMAL,
-    UNBOUNDED,
-    BackendSolution,
-    LinearProgram,
-    SolverFailureError,
-    get_backend,
-)
+from .solver import OPTIMAL, BackendSolution, LinearProgram, SolverFailureError, get_backend
 
 #: Flow conservation / feasibility tolerance.
 FEAS_EPS = 1e-7
 #: Flows, duals and reduced costs smaller than this are treated as exact
 #: zeros after a solve.
 FLOW_DUST = 1e-9
-
-
-class LpConstructionError(RuntimeError):
-    """The minimax LP came back infeasible or unbounded, which only a
-    construction bug can cause for finite payoff tables."""
 
 
 class InvalidFlowError(ValueError):
@@ -204,17 +190,16 @@ class MinimaxLP:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of one LP solve in flow form.  ``opponent_flow``, the opponent's
-    equilibrium flow read from the row duals, is set by minimax solves only,
-    not by optimal-face witnesses.  ``solution`` is the backend's answer: its
-    iteration counts, and for an optimum the duals that define the optimal
-    face."""
+    """A checked optimum in flow form; ``status`` is always ``OPTIMAL``.
+    ``opponent_flow``, the opponent's equilibrium flow read from the row
+    duals, is set by minimax solves only, not by optimal-face witnesses.
+    ``solution`` is the backend's answer: its iteration counts and the duals
+    that define the optimal face."""
 
     status: str
     value: float
-    flow: StrategyFlow | None
+    flow: StrategyFlow
     solution: BackendSolution
-    message: str = ""
     opponent_flow: StrategyFlow | None = None
 
 
@@ -311,34 +296,30 @@ def build_minimax_lp(sunk: SunkCostGame, perspective: str = "A") -> MinimaxLP:
     )
 
 
-def _result_from_solution(model: MinimaxLP, sol: BackendSolution,
+def _result_from_solution(model: MinimaxLP, sol: BackendSolution, what: str,
                           witness: bool = False) -> SolveResult:
-    if sol.status in (INFEASIBLE, UNBOUNDED):
-        raise LpConstructionError(
-            f"minimax LP reported {sol.status}: {sol.message}"
-        )
+    """The optimum in ``sol`` with its flows built and checked; any other
+    outcome raises :class:`SolverFailureError` naming ``what``."""
     if sol.status != OPTIMAL:
-        return SolveResult(status=sol.status, value=float("nan"), flow=None,
-                           solution=sol, message=sol.message)
-    x = sol.x
+        raise SolverFailureError(f"{what} failed: {sol.status} {sol.message}")
     flow = opponent_flow = None
     try:
-        flow = StrategyFlow(model.graph_self, x[model.flow_slice])
+        flow = StrategyFlow(model.graph_self, sol.x[model.flow_slice])
         if not witness:  # the opponent-potential rows lead the <= rows
             opponent_flow = StrategyFlow(
                 model.graph_opp, sol.row_duals[:model.graph_opp.num_edges])
     except InvalidFlowError as exc:
         which = "flow" if flow is None else "opponent flow from the row duals"
-        return SolveResult(status=NUMERIC_FAILURE, value=float("nan"), flow=None,
-                           solution=sol, message=f"{which}: {exc}")
-    return SolveResult(status=OPTIMAL, value=float(x[model.value_index]), flow=flow,
-                       solution=sol, message=sol.message, opponent_flow=opponent_flow)
+        raise SolverFailureError(f"{what} unusable: {which}: {exc}") from exc
+    return SolveResult(status=OPTIMAL, value=float(sol.x[model.value_index]), flow=flow,
+                       solution=sol, opponent_flow=opponent_flow)
 
 
 def solve(model: MinimaxLP, backend=None) -> SolveResult:
-    """Solve an assembled minimax LP and clean up the returned flow."""
+    """Solve an assembled minimax LP; raises :class:`SolverFailureError`
+    unless it gives an optimum with valid flows for both players."""
     backend = backend if backend is not None else get_backend()
-    return _result_from_solution(model, backend.solve(model.program))
+    return _result_from_solution(model, backend.solve(model.program), "minimax solve")
 
 
 def _statistic_objective(model: MinimaxLP, statistic) -> np.ndarray:
@@ -395,27 +376,16 @@ def equilibrium_statistic_bounds(
     backend = get_backend()
     model = build_minimax_lp(build_sunk_cost(game), "A")
     base = solve(model, backend)
-    if base.status != OPTIMAL:
-        raise SolverFailureError(f"stage-one solve failed: {base.status} {base.message}")
     face = _optimal_face(model, base.solution)
     out: dict[str, dict[str, tuple[float, SolveResult]]] = {}
     for name, statistic in statistics.items():
         objective = _statistic_objective(model, statistic)
         out[name] = {}
         for direction in ("min", "max"):
-            sol = backend.solve(replace(face, sense=direction, objective=objective))
-            if sol.status != OPTIMAL:
-                raise SolverFailureError(
-                    f"stage-two solve for {name}/{direction} failed: "
-                    f"{sol.status} {sol.message}"
-                )
-            witness = _result_from_solution(model, sol, witness=True)
-            if witness.status != OPTIMAL:
-                raise SolverFailureError(
-                    f"stage-two solution for {name}/{direction} unusable: "
-                    f"{witness.message}"
-                )
-            out[name][direction] = (float(sol.objective), witness)
+            witness = _result_from_solution(
+                model, backend.solve(replace(face, sense=direction, objective=objective)),
+                f"stage-two solve for {name}/{direction}", witness=True)
+            out[name][direction] = (float(witness.solution.objective), witness)
     return base, out
 
 

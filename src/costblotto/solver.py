@@ -126,13 +126,13 @@ class ScipyHighsBackend:
         }.get(res.status, NUMERIC_FAILURE)
         info = {"message": str(res.message), "iterations": int(res.nit),
                 "crossover_iterations": int(res.crossover_nit)}
-        if status != OPTIMAL:
-            return BackendSolution(status=status, x=None, objective=None, **info)
-        return BackendSolution(status=OPTIMAL, x=np.asarray(res.x, dtype=float),
-                               objective=float(sign * res.fun),
-                               row_duals=sign * np.asarray(res.ineqlin.marginals, dtype=float),
-                               reduced_costs=sign * np.asarray(res.lower.marginals, dtype=float),
-                               **info)
+        if status == OPTIMAL:
+            return BackendSolution(status=OPTIMAL, x=np.asarray(res.x, dtype=float),
+                                   objective=float(sign * res.fun),
+                                   row_duals=sign * np.asarray(res.ineqlin.marginals, dtype=float),
+                                   reduced_costs=sign * np.asarray(res.lower.marginals, dtype=float),
+                                   **info)
+        return BackendSolution(status=status, x=None, objective=None, **info)
 
 
 def get_backend(name: str | None = None) -> ScipyHighsBackend:

@@ -15,7 +15,13 @@ from costblotto.cli import (
     main,
 )
 from costblotto.config import parse_sweep_spec, sweep_point_game
-from costblotto.solver import BACKEND_ENV_VAR, NUMERIC_FAILURE, ScipyHighsBackend
+from costblotto.solver import (
+    BACKEND_ENV_VAR,
+    INFEASIBLE,
+    BackendSolution,
+    ScipyHighsBackend,
+    SolverFailureError,
+)
 from costblotto.strategy import CERTIFICATE_EPS
 
 S_STAR = {(0, 0), (0, 1), (1, 0), (1, 1)}
@@ -289,20 +295,20 @@ class ConservationBreakingBackend(ScipyHighsBackend):
 class TestBrokenDuals:
     def test_numeric_failure(self, config_path):
         model = build_minimax_lp(build_sunk_cost(load_game(config_path)), "A")
-        result = solve(model, ConservationBreakingBackend())
-        assert result.status == NUMERIC_FAILURE
-        assert "opponent flow" in result.message
-        assert result.flow is None and result.opponent_flow is None
+        with pytest.raises(SolverFailureError, match="opponent flow"):
+            solve(model, ConservationBreakingBackend())
 
     @pytest.mark.parametrize("args", [
         ["solve", "--player", "A"],
         ["solve", "--player", "B"],
         ["bounds", "--statistic", "resources"],
         ["oracle-diff"],
+        ["lp-stats"],
     ])
     def test_exit_code_3(self, args, config_path, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(minimax, "get_backend", ConservationBreakingBackend)
-        out = [] if args[0] == "oracle-diff" else ["--out", str(tmp_path / "out")]
+        has_out = args[0] not in ("oracle-diff", "lp-stats")
+        out = ["--out", str(tmp_path / "out")] if has_out else []
         assert main(args + ["--config", config_path] + out) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "SolverFailureError"
@@ -391,8 +397,34 @@ class TestUnusableWitness:
     def test_sweep_point_records_error(self, monkeypatch):
         monkeypatch.setattr(minimax, "get_backend", WitnessBreakingBackend)
         row = cli._sweep_point((2, 2, 2, 1.0))
-        assert row["error"].startswith("SolverFailureError: stage-two solution")
+        assert row["error"].startswith(
+            "SolverFailureError: stage-two solve for resources/min unusable")
         assert "min_resources" not in row and "value" not in row
+
+
+class InfeasibleBackend:
+    """Answers every LP as infeasible without solving it."""
+
+    def solve(self, lp):
+        return BackendSolution(status=INFEASIBLE, x=None, objective=None,
+                               message="stub: no feasible point")
+
+
+class TestInfeasibleSolve:
+    def test_solve_raises(self, config_path):
+        model = build_minimax_lp(build_sunk_cost(load_game(config_path)), "A")
+        with pytest.raises(SolverFailureError, match="minimax solve failed: infeasible"):
+            solve(model, InfeasibleBackend())
+
+    def test_exit_code_3(self, config_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(minimax, "get_backend", InfeasibleBackend)
+        out = tmp_path / "out"
+        assert main(["solve", "--player", "A", "--config", config_path,
+                     "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "SolverFailureError"
+        assert "infeasible" in err["error"]["message"]
+        assert not out.exists()
 
 
 class TestErrorPaths:

@@ -15,15 +15,12 @@ from costblotto import (
     MixedStrategy,
     Valuation,
     enumerate_strategies,
-    expected_payoff,
     mix_strategies,
     payoff_costs,
     payoff_zero,
     swap_players,
 )
 from conftest import example_one, random_game
-
-S_STAR = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 class TestCostFunction:
@@ -187,6 +184,29 @@ class TestPayoffs:
             assert value_a + value_b == 0
 
     @pytest.mark.parametrize("seed", range(10))
+    def test_float_payoff_zero_is_shifted_payoff_costs(self, seed):
+        # float rounding follows A's payoff with costs plus B's costs, in
+        # order; non-dyadic costs make a reordered sum round differently
+        rng = random.Random(400 + seed)
+        game = random_game(rng)
+
+        def cost(d):
+            return CostFunction.from_table(sorted(rng.uniform(0, 3) for _ in range(d + 1)))
+
+        game = dataclasses.replace(
+            game,
+            assign_costs_a=tuple(cost(game.budget_a) for _ in range(game.n)),
+            assign_costs_b=tuple(cost(game.budget_b) for _ in range(game.n)),
+            obtain_cost_a=cost(game.budget_a), obtain_cost_b=cost(game.budget_b))
+        for s_a in enumerate_strategies(game.budget_a, game.n):
+            for s_b in enumerate_strategies(game.budget_b, game.n):
+                shifted = (payoff_costs(game, s_a, s_b)[0]
+                           + sum(game.assign_costs_b[i](s_b[i]) for i in range(game.n))
+                           + game.obtain_cost_b(sum(s_b)))
+                value = payoff_zero(game, s_a, s_b)
+                assert value == shifted and type(value) is type(shifted)
+
+    @pytest.mark.parametrize("seed", range(10))
     def test_strategic_equivalence_differences(self, seed):
         # pi_0 and pi_$ differ by an opponent-only term, so their differences
         # across own strategies coincide
@@ -267,43 +287,8 @@ class TestMixedStrategy:
         assert dict(xi.support) == {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)}
 
 
-class TestExpectedPayoff:
-    def test_point_masses(self, example_game):
-        xi = MixedStrategy.point_mass((0, 0))
-        assert expected_payoff(example_game, xi, xi) == (0, 0)
-
-    def test_uniform_over_equilibrium_set(self, example_game):
-        xi_a = MixedStrategy(
-            support=tuple((s, Fraction(1, 4)) for s in S_STAR))
-        xi_b = MixedStrategy.point_mass((0, 0))
-        assert expected_payoff(example_game, xi_a, xi_b) == (0, -1)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_zero_variant_sums_to_zero(self, seed):
-        rng = random.Random(300 + seed)
-        game = random_game(rng, exact=True)
-        xi_a = _random_mixed(rng, game.budget_a, game.n)
-        xi_b = _random_mixed(rng, game.budget_b, game.n)
-        pay_a, pay_b = expected_payoff(game, xi_a, xi_b, variant="zero")
-        assert pay_a + pay_b == 0
-
-    def test_unknown_variant(self, example_game):
-        xi = MixedStrategy.point_mass((0, 0))
-        with pytest.raises(ValueError):
-            expected_payoff(example_game, xi, xi, variant="bogus")
-
-
 def _random_partial(rng, budget, n):
     s = [0] * n
     for _ in range(rng.randint(0, budget)):
         s[rng.randrange(n)] += 1
     return tuple(s)
-
-
-def _random_mixed(rng, budget, n, k=3):
-    pool = enumerate_strategies(budget, n)
-    support = rng.sample(pool, min(k, len(pool)))
-    weights = [Fraction(rng.randint(1, 5)) for _ in support]
-    total = sum(weights)
-    return MixedStrategy(
-        support=tuple((s, w / total) for s, w in zip(support, weights)))

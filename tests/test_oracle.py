@@ -11,7 +11,6 @@ from costblotto import (
     Valuation,
     build_matrix,
     exhaustive_equilibrium_strategies,
-    expected_payoff,
     matrix_game_solve,
     payoff_costs,
 )
