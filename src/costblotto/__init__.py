@@ -47,7 +47,6 @@ from .oracle import (
     MatrixGame,
     OracleSolveError,
     build_matrix,
-    exhaustive_equilibrium_strategies,
     matrix_game_solve,
 )
 from .reduction import (
@@ -97,7 +96,6 @@ __all__ = [
     "decompose_flow",
     "enumerate_strategies",
     "equilibrium_statistic_bounds",
-    "exhaustive_equilibrium_strategies",
     "expenditure_statistic",
     "get_backend",
     "load_game",

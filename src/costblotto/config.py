@@ -12,6 +12,7 @@ harness.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +32,8 @@ def _require(data: dict, key: str, path: str):
 def _number(x, path: str):
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {x!r}")
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ConfigError(f"{path}: expected a finite number, got {x!r}")
     return x
 
 
@@ -137,15 +140,20 @@ def parse_game_config(data: dict) -> CostBlottoGame:
         raise ConfigError(f"config: {exc}") from exc
 
 
-def load_game(path: str | Path) -> CostBlottoGame:
+def _read_json(path: str | Path, what: str):
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        raise ConfigError(f"{what} file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return parse_game_config(data)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read {what} file: {exc.strerror}") from exc
+
+
+def load_game(path: str | Path) -> CostBlottoGame:
+    return parse_game_config(_read_json(path, "config"))
 
 
 @dataclass(frozen=True)
@@ -218,14 +226,7 @@ def parse_sweep_spec(data: dict) -> SweepSpec:
 
 
 def load_sweep_spec(path: str | Path) -> SweepSpec:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"sweep spec file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return parse_sweep_spec(data)
+    return parse_sweep_spec(_read_json(path, "sweep spec"))
 
 
 def sweep_point_game(n: int, budget_a: int, budget_b: int, c0_inv: float) -> CostBlottoGame:

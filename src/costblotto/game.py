@@ -187,28 +187,16 @@ class CostBlottoGame:
                         f"valuations[{i}] table is {len(v.rows)}x{len(v.rows[0])}, "
                         f"expected {self.budget_a + 1}x{self.budget_b + 1}"
                     )
-        for i, c in enumerate(self.assign_costs_a):
-            if c.domain_max != self.budget_a:
+        for name, cost, budget in (
+            *((f"assign_costs_a[{i}]", c, self.budget_a) for i, c in enumerate(self.assign_costs_a)),
+            *((f"assign_costs_b[{i}]", c, self.budget_b) for i, c in enumerate(self.assign_costs_b)),
+            ("obtain_cost_a", self.obtain_cost_a, self.budget_a),
+            ("obtain_cost_b", self.obtain_cost_b, self.budget_b),
+        ):
+            if cost.domain_max != budget:
                 raise ValueError(
-                    f"assign_costs_a[{i}] has domain_max {c.domain_max}, "
-                    f"expected budget {self.budget_a}"
+                    f"{name} has domain_max {cost.domain_max}, expected budget {budget}"
                 )
-        for i, c in enumerate(self.assign_costs_b):
-            if c.domain_max != self.budget_b:
-                raise ValueError(
-                    f"assign_costs_b[{i}] has domain_max {c.domain_max}, "
-                    f"expected budget {self.budget_b}"
-                )
-        if self.obtain_cost_a.domain_max != self.budget_a:
-            raise ValueError(
-                f"obtain_cost_a has domain_max {self.obtain_cost_a.domain_max}, "
-                f"expected budget {self.budget_a}"
-            )
-        if self.obtain_cost_b.domain_max != self.budget_b:
-            raise ValueError(
-                f"obtain_cost_b has domain_max {self.obtain_cost_b.domain_max}, "
-                f"expected budget {self.budget_b}"
-            )
 
 
 def _check_player(player: str) -> None:
@@ -305,8 +293,6 @@ def enumerate_strategies(budget: int, n: int, full: bool = False,
             rec(pos + 1, remaining - t)
 
     rec(0, budget)
-    if full:
-        out.sort()
     return out
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .game import CostBlottoGame, MixedStrategy, check_full_assignment, _check_player
+from .game import CostBlottoGame, MixedStrategy, check_full_assignment
 from .reduction import SunkCostGame, build_sunk_cost, oriented_valuations
 from .solver import OPTIMAL, BackendSolution, LinearProgram, SolverFailureError, get_backend
 
@@ -212,7 +212,6 @@ def build_minimax_lp(sunk: SunkCostGame, perspective: str = "A") -> MinimaxLP:
     chosen flow's marginals.  At the optimum the value variable equals the
     game value seen from ``perspective``.
     """
-    _check_player(perspective)
     d_self, d_opp, tables = oriented_valuations(sunk, perspective)
     n_hat = sunk.n_hat
     gs = LayeredGraph(n_hat, d_self)

@@ -25,10 +25,6 @@ from .game import (
     payoff_zero,
 )
 
-#: Equilibrium-membership slack: exact games get the tight bound.
-MEMBERSHIP_EPS_EXACT = Fraction(1, 10**9)
-MEMBERSHIP_EPS_FLOAT = 1e-7
-
 
 class OracleSolveError(RuntimeError):
     """The reference linear-programming solve did not reach an optimum."""
@@ -190,26 +186,3 @@ def matrix_game_solve(mg: MatrixGame) -> tuple[Number, MixedStrategy, MixedStrat
     xi_row = _support(mg.row_strategies, row, drop)
     xi_col = _support(mg.col_strategies, col, drop)
     return value, xi_row, xi_col
-
-
-def exhaustive_equilibrium_strategies(
-    game: CostBlottoGame, max_strategies: int = 10_000
-) -> tuple[list[PureStrategy], list[PureStrategy]]:
-    """All pure equilibrium strategies of the zero-sum companion game.
-
-    In a zero-sum game a pure strategy appears in some equilibrium exactly
-    when it guarantees the game value against every pure reply, so both
-    players' sets come from scanning the payoff matrix against the value.
-    """
-    mg = build_matrix(game, max_strategies=max_strategies)
-    value, _, _ = matrix_game_solve(mg)
-    eps = MEMBERSHIP_EPS_EXACT if mg.is_exact else MEMBERSHIP_EPS_FLOAT
-    rows = [
-        s for r, s in enumerate(mg.row_strategies)
-        if min(mg.payoffs[r]) >= value - eps
-    ]
-    cols = [
-        s for c, s in enumerate(mg.col_strategies)
-        if max(mg.payoffs[r][c] for r in range(len(mg.row_strategies))) <= value + eps
-    ]
-    return rows, cols

@@ -9,6 +9,7 @@ an equilibrium of the original game with costs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from .game import (
     Number,
     PureStrategy,
     check_partial_assignment,
-    _check_player,
 )
 from .minimax import FEAS_EPS, InvalidFlowError, StrategyFlow
 from .reduction import SunkCostGame, build_sunk_cost, map_strategy, oriented_valuations
@@ -99,9 +99,10 @@ def decompose_flow(flow: StrategyFlow) -> MixedStrategy:
 
     Repeatedly traces a source-to-sink path along the highest-residual edge
     (preferring smaller assignments on ties), assigns it the bottleneck
-    residual, and subtracts.  Each pass zeroes at least one edge, so at most
-    one support entry per edge is produced, and the result's marginals match
-    the flow's.
+    residual, and subtracts.  Each pass zeroes at least one edge of its path,
+    which no later pass can take, so no path is traced twice, at most one
+    support entry per edge is produced, and the result's marginals match the
+    flow's.
     """
     g = flow.graph
     d = g.budget
@@ -132,12 +133,8 @@ def decompose_flow(flow: StrategyFlow) -> MixedStrategy:
         remaining -= bottleneck
     if not entries:
         raise InvalidFlowError("flow carries no mass out of the source")
-    merged: dict[PureStrategy, float] = {}
-    for s, p in entries:
-        merged[s] = merged.get(s, 0.0) + p
-    total = sum(merged.values())
-    support = tuple(sorted((s, p / total) for s, p in merged.items()))
-    return MixedStrategy(support=support)
+    total = sum(p for _, p in entries)
+    return MixedStrategy(support=tuple(sorted((s, p / total) for s, p in entries)))
 
 
 def best_response_value(
@@ -150,7 +147,6 @@ def best_response_value(
     assignment, breaking ties toward smaller assignments battlefield by
     battlefield.
     """
-    _check_player(player)
     d_self, d_opp, tables = oriented_valuations(sunk, player)
     if opp_marginals.n_hat != sunk.n_hat or opp_marginals.budget != d_opp:
         raise ValueError(
@@ -165,32 +161,23 @@ def best_response_value(
         ]
         for i in range(sunk.n_hat)
     ]
-    # suffix[i][j]: best total from node (i, j) onward; None if the sink is
-    # unreachable (only over-spent last-layer nodes)
-    suffix: list[list[Number | None]] = [[None] * (d_self + 1) for _ in range(sunk.n_hat + 1)]
-    suffix[sunk.n_hat][d_self] = 0
-    for i in range(sunk.n_hat, 0, -1):
-        for j in range(d_self + 1):
-            best = None
-            for a in range(d_self - j + 1):
-                tail = suffix[i][j + a]
-                if tail is None:
-                    continue
-                total = rewards[i - 1][a] + tail
-                if best is None or total > best:
-                    best = total
-            suffix[i - 1][j] = best
-    value = suffix[0][0]
+    # after[i][j]: best total from battlefield i onward with j already spent;
+    # the last battlefield takes what is left (+ 0 folds -0.0 into 0.0), an
+    # earlier one a, for row[a] + after[i + 1][j + a]; max keeps the first
+    # maximum, so ties go to the smaller a
+    after = [[rewards[-1][d_self - j] + 0 for j in range(d_self + 1)]]
+    for row in reversed(rewards[:-1]):
+        after.append([max(map(add, row, after[-1][j:])) for j in range(d_self + 1)])
+    after.reverse()
     assignment = []
     j = 0
-    for i in range(1, sunk.n_hat + 1):
-        for a in range(d_self - j + 1):
-            tail = suffix[i][j + a]
-            if tail is not None and rewards[i - 1][a] + tail == suffix[i - 1][j]:
-                assignment.append(a)
-                j += a
-                break
-    return value, tuple(assignment)
+    for i in range(sunk.n_hat - 1):
+        a = next(a for a in range(d_self - j + 1)
+                 if rewards[i][a] + after[i + 1][j + a] == after[i][j])
+        assignment.append(a)
+        j += a
+    assignment.append(d_self - j)
+    return after[0][0], tuple(assignment)
 
 
 def certify_equilibrium(

@@ -461,6 +461,112 @@ class TestErrorPaths:
         assert "glop" in err["error"]["message"]
 
 
+class TestConfigBoundary:
+    def test_infinite_grid_exit_code_2(self, tmp_path, capsys):
+        spec = _write_spec(tmp_path, dict(SMALL_SWEEP, n={"min": 2, "max": float("inf")}))
+        assert main(["sweep", "--spec", spec, "--out", str(tmp_path / "o"),
+                     "--jobs", "1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"type": "ConfigError",
+                                "message": "sweep.n.max: expected a finite number, got inf"}
+
+    def test_config_directory_exit_code_2(self, tmp_path, capsys):
+        assert main(["solve", "--config", str(tmp_path), "--player", "A",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigError"
+        assert err["error"]["message"].startswith(f"{tmp_path}: cannot read config file")
+
+    def test_spec_directory_exit_code_2(self, tmp_path, capsys):
+        assert main(["sweep", "--spec", str(tmp_path), "--out", str(tmp_path / "o"),
+                     "--jobs", "1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigError"
+        assert err["error"]["message"].startswith(f"{tmp_path}: cannot read sweep spec file")
+
+
+def _failed_certificate(game, xi_a, xi_b):
+    return False, 0.5, 0.0
+
+
+class TestFailedCertificate:
+    def test_solve_exit_code_3(self, config_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "certify_equilibrium", _failed_certificate)
+        out = tmp_path / "out"
+        assert main(["solve", "--player", "A", "--config", config_path,
+                     "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {
+            "type": "SolverFailureError",
+            "message": "solved profile failed the equilibrium certificate "
+                       "(gap_a=0.5, gap_b=0.0)"}
+        assert not out.exists()
+
+    def test_bounds_exit_code_3(self, config_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "certify_equilibrium", _failed_certificate)
+        out = tmp_path / "out"
+        assert main(["bounds", "--statistic", "resources", "--config", config_path,
+                     "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {
+            "type": "SolverFailureError",
+            "message": "min-resources witness failed the certificate "
+                       "(gap_a=0.5, gap_b=0.0)"}
+        assert not out.exists()
+
+
+class TestFailingChecks:
+    def test_oracle_diff_outside_tolerance(self, config_path, monkeypatch, capsys):
+        real = cli.matrix_game_solve
+
+        def off_by_one(mg):
+            value, xi_row, xi_col = real(mg)
+            return value + 1, xi_row, xi_col
+
+        monkeypatch.setattr(cli, "matrix_game_solve", off_by_one)
+        assert main(["oracle-diff", "--config", config_path]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["within_tolerance"] is False
+        assert report["abs_difference"] == pytest.approx(1)
+        assert report["certificate"]["is_equilibrium"] is True
+
+    def test_check_hypothesis_failing_point(self, tmp_path, monkeypatch, capsys):
+        real = cli.equilibrium_statistic_bounds
+
+        def shifted(game, statistics):
+            base, bounds = real(game, statistics)
+            lo, witness = bounds["resources"]["min"]
+            bounds["resources"]["min"] = (lo + 1, witness)
+            return base, bounds
+
+        monkeypatch.setattr(cli, "equilibrium_statistic_bounds", shifted)
+        spec = _write_spec(tmp_path, dict(SMALL_SWEEP, c0_inv={"min": 3, "max": 3}))
+        out = tmp_path / "out"
+        assert main(["check-hypothesis", "--spec", spec, "--out", str(out)]) == 1
+        stdout = capsys.readouterr().out
+        assert stdout.startswith("FAIL n=2 D=2 c0_inv=3 case=1 resources=[3, 2]")
+        assert "0/1 points pass" in stdout
+        report = json.loads((out / "hypothesis_report.json").read_text())
+        assert report["summary"] == {"total": 1, "passed": 0, "failed": 1,
+                                     "all_pass": False}
+
+    def test_sweep_row_of_failed_point(self, tmp_path, monkeypatch):
+        def failing(game, statistics):
+            raise SolverFailureError("stage-two solve failed: a, b,\nc")
+
+        monkeypatch.setattr(cli, "equilibrium_statistic_bounds", failing)
+        spec = _write_spec(tmp_path, SMALL_SWEEP)
+        out = tmp_path / "out"
+        assert main(["sweep", "--spec", spec, "--out", str(out), "--jobs", "1"]) == 0
+        header, line = (out / "sweep.csv").read_text().splitlines()
+        cells = line.split(",")
+        assert len(cells) == len(header.split(",")) == 11
+        assert cells[:4] == ["2", "2", "2", "1"]
+        assert cells[4:9] == [""] * 5
+        int(cells[9])
+        assert cells[10] == "SolverFailureError: stage-two solve failed: a; b; c"
+
+
 def _module_map_rows():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     table = readme.split("## Module map", 1)[1].split("\n## ", 1)[0]

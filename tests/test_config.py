@@ -86,6 +86,13 @@ class TestParseGameConfig:
         with pytest.raises(ConfigError, match="budget_A"):
             parse_game_config(data)
 
+    @pytest.mark.parametrize("coeff", [float("nan"), float("inf")])
+    def test_non_finite_coefficient(self, coeff):
+        cfg = dict(EXAMPLE, obtain_cost_A={"kind": "linear", "coeff": coeff})
+        with pytest.raises(ConfigError,
+                           match=r"config\.obtain_cost_A\.coeff: expected a finite number"):
+            parse_game_config(cfg)
+
 
 class TestLoadGame:
     def test_load(self, tmp_path):
@@ -102,6 +109,13 @@ class TestLoadGame:
         path = tmp_path / "bad.json"
         path.write_text('{\n "n": 2,\n}')
         with pytest.raises(ConfigError, match="line 3"):
+            load_game(path)
+
+    def test_non_finite_table_entry(self, tmp_path):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(
+            dict(EXAMPLE, assign_costs_B={"kind": "table", "values": [0, 1, float("inf")]})))
+        with pytest.raises(ConfigError, match=r"assign_costs_B\[0\]\.values\[2\]"):
             load_game(path)
 
 
@@ -158,6 +172,17 @@ class TestSweepSpec:
         bad = {k: v for k, v in self.SPEC.items() if k != "c0_inv"}
         with pytest.raises(ConfigError, match="c0_inv"):
             parse_sweep_spec(bad)
+
+    # parsed only: at an unchecked boundary these grids never end
+    @pytest.mark.parametrize("field,grid", [
+        ("n", {"min": 2, "max": float("inf")}),
+        ("c0_inv", {"min": 1, "max": float("inf")}),
+        ("c0_inv", {"min": 1, "max": 2, "interval": float("nan")}),
+        ("budget_A", {"min": float("-inf"), "max": 4}),
+    ])
+    def test_non_finite_rejected(self, field, grid):
+        with pytest.raises(ConfigError, match=rf"sweep\.{field}\.\w+: expected a finite number"):
+            parse_sweep_spec(dict(self.SPEC, **{field: grid}))
 
 
 class TestSweepPointGame:

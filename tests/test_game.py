@@ -256,8 +256,11 @@ class TestEnumerate:
         assert enumerate_strategies(0, 3) == [(0, 0, 0)]
 
     def test_lexicographic_order(self):
-        strategies = enumerate_strategies(4, 3)
-        assert strategies == sorted(strategies)
+        for d in range(7):
+            for n in range(1, 5):
+                for full in (False, True):
+                    strategies = enumerate_strategies(d, n, full=full)
+                    assert strategies == sorted(strategies)
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError, match="oracle scale exceeded"):

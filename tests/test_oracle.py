@@ -8,14 +8,17 @@ from costblotto import (
     CostFunction,
     EnumerationCapError,
     MatrixGame,
+    MixedStrategy,
     Valuation,
     build_matrix,
-    exhaustive_equilibrium_strategies,
+    certify_equilibrium,
     matrix_game_solve,
     payoff_costs,
 )
-from costblotto.oracle import MEMBERSHIP_EPS_FLOAT
 from conftest import random_game
+
+#: Slack on the float matrix-game strategies' guarantees.
+MEMBERSHIP_EPS_FLOAT = 1e-7
 
 LEX = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
 
@@ -157,9 +160,20 @@ class TestMatrixGameSolve:
         assert best == value
 
 
+def pure_equilibrium_strategies(mg, value):
+    """Pure strategies that guarantee ``value`` against every pure reply; in
+    a zero-sum game these are exactly the pure equilibrium strategies."""
+    rows = [s for r, s in enumerate(mg.row_strategies) if min(mg.payoffs[r]) >= value]
+    cols = [s for c, s in enumerate(mg.col_strategies)
+            if max(row[c] for row in mg.payoffs) <= value]
+    return rows, cols
+
+
 class TestExhaustiveEquilibria:
     def test_example_sets(self):
-        rows, cols = exhaustive_equilibrium_strategies(exact_example())
+        mg = build_matrix(exact_example())
+        value, _, _ = matrix_game_solve(mg)
+        rows, cols = pure_equilibrium_strategies(mg, value)
         assert set(rows) == set(S_STAR)
         assert set(cols) == set(S_STAR)
         assert (0, 2) not in rows and (2, 0) not in rows
@@ -175,7 +189,9 @@ class TestExhaustiveEquilibria:
             obtain_cost_a=CostFunction.zero(1),
             obtain_cost_b=CostFunction.zero(1),
         )
-        rows, cols = exhaustive_equilibrium_strategies(game)
+        mg = build_matrix(game)
+        value, _, _ = matrix_game_solve(mg)
+        rows, cols = pure_equilibrium_strategies(mg, value)
         assert set(rows) == {(0, 0), (0, 1), (1, 0)}
         assert set(cols) == {(0, 0), (0, 1), (1, 0)}
 
@@ -193,15 +209,17 @@ class TestExhaustiveEquilibria:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_members_guarantee_value(self, seed):
+        # the DP certificate, which shares nothing with the matrix, finds no
+        # gain against a pure equilibrium strategy played with the other
+        # side's optimal mix
         rng = random.Random(900 + seed)
         game = random_game(rng, exact=True)
         mg = build_matrix(game)
-        value, _, _ = matrix_game_solve(mg)
-        rows, cols = exhaustive_equilibrium_strategies(game)
-        row_index = {s: r for r, s in enumerate(mg.row_strategies)}
-        col_index = {s: c for c, s in enumerate(mg.col_strategies)}
+        value, xi_row, xi_col = matrix_game_solve(mg)
+        rows, cols = pure_equilibrium_strategies(mg, value)
         for s in rows:
-            assert min(mg.payoffs[row_index[s]]) >= value
+            assert certify_equilibrium(game, MixedStrategy.point_mass(s), xi_col,
+                                       eps=0) == (True, 0, 0)
         for s in cols:
-            assert max(mg.payoffs[r][col_index[s]]
-                       for r in range(len(mg.payoffs))) <= value
+            assert certify_equilibrium(game, xi_row, MixedStrategy.point_mass(s),
+                                       eps=0) == (True, 0, 0)

@@ -179,6 +179,36 @@ class TestBestResponse:
         assert value == best
         assert reply_value(br) == best
 
+    @pytest.mark.parametrize("player", ["A", "B"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_lexicographically_smallest_maximizer(self, seed, player):
+        # small integer payoffs and point-mass-heavy marginals make ties common
+        rng = random.Random(1300 + seed)
+        n_hat = 1 if seed < 2 else rng.randint(2, 4)
+        d_a, d_b = rng.randint(0, 4), rng.randint(0, 4)
+        tables = tuple(
+            tuple(tuple(Fraction(rng.choice((-1, 0, 0, 1))) for _ in range(d_b + 1))
+                  for _ in range(d_a + 1))
+            for _ in range(n_hat))
+        sunk = SunkCostGame(n_hat=n_hat, budget_a=d_a, budget_b=d_b,
+                            valuations_hat=tables)
+        d_self, d_opp = (d_a, d_b) if player == "A" else (d_b, d_a)
+        pool = enumerate_strategies(d_opp, n_hat, full=True)
+        support = rng.sample(pool, min(rng.randint(1, 2), len(pool)))
+        opp = MixedStrategy(support=tuple(
+            (s, Fraction(1, len(support))) for s in support))
+        opp_marginals = marginals_from_mixed(opp, d_opp)
+
+        def reply_value(s):
+            return sum(
+                p * (tables[i][s[i]][b] if player == "A" else -tables[i][b][s[i]])
+                for i in range(n_hat)
+                for b, p in enumerate(opp_marginals.tables[i]))
+        replies = enumerate_strategies(d_self, n_hat, full=True)
+        best = max(reply_value(s) for s in replies)
+        first = next(s for s in replies if reply_value(s) == best)
+        assert best_response_value(sunk, opp_marginals, player) == (best, first)
+
 
 class TestCertifyEquilibrium:
     @pytest.mark.parametrize("s_a", S_STAR)
