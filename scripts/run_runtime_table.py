@@ -25,7 +25,7 @@ SIZES = [(10, 30, 30), (10, 30, 50), (10, 50, 50),
 
 
 def make_game(n, d_a, d_b, setting):
-    vals = tuple(Valuation.sign_form(1) for _ in range(n))
+    vals = (Valuation.sign_form(1, d_a, d_b),) * n
     if setting == "linear":
         assign_a = tuple(CostFunction.zero(d_a) for _ in range(n))
         assign_b = tuple(CostFunction.zero(d_b) for _ in range(n))

@@ -77,7 +77,8 @@ def parse_valuation_spec(spec, budget_a: int, budget_b: int, path: str) -> Valua
     kind = _require(spec, "kind", path)
     try:
         if kind == "sign":
-            return Valuation.sign_form(_number(_require(spec, "weight", path), f"{path}.weight"))
+            weight = _number(_require(spec, "weight", path), f"{path}.weight")
+            return Valuation.sign_form(weight, budget_a, budget_b)
         if kind == "table":
             rows = _require(spec, "rows", path)
             if (not isinstance(rows, list) or len(rows) != budget_a + 1
@@ -143,13 +144,17 @@ def parse_game_config(data: dict) -> CostBlottoGame:
 def _read_json(path: str | Path, what: str):
     path = Path(path)
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read {what} file: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{path}: cannot read {what} file: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
 
 
 def load_game(path: str | Path) -> CostBlottoGame:
@@ -169,6 +174,12 @@ class GridRange:
             raise ConfigError(f"grid interval must be positive, got {self.interval!r}")
         if self.stop < self.start:
             raise ConfigError(f"grid is empty: max {self.stop!r} below min {self.start!r}")
+
+    def size(self) -> float:
+        """How many values :meth:`values` yields, up to floating-point
+        rounding, computed without building them; ``inf`` on overflow."""
+        span = (self.stop + 1e-9 - self.start) / self.interval
+        return math.floor(span) + 1 if math.isfinite(span) else math.inf
 
     def values(self) -> list[float]:
         out = []
@@ -214,15 +225,27 @@ def _parse_range(data, path: str, integral: bool) -> GridRange:
     return GridRange(start=lo, stop=hi, interval=step)
 
 
+#: Every sweep point is one solve, and :meth:`SweepSpec.points` lists them all
+#: up front; a spec past this count is a mistyped ``max`` or ``interval``, and
+#: its list alone could exhaust memory.
+MAX_SWEEP_POINTS = 1_000_000
+
+
 def parse_sweep_spec(data: dict) -> SweepSpec:
     if not isinstance(data, dict):
         raise ConfigError("sweep: expected a JSON object at the top level")
-    return SweepSpec(
-        n=_parse_range(_require(data, "n", "sweep"), "sweep.n", integral=True),
-        budget_a=_parse_range(_require(data, "budget_A", "sweep"), "sweep.budget_A", integral=True),
-        budget_b=_parse_range(_require(data, "budget_B", "sweep"), "sweep.budget_B", integral=True),
-        c0_inv=_parse_range(_require(data, "c0_inv", "sweep"), "sweep.c0_inv", integral=False),
-    )
+    grids, points = {}, 1
+    for key in ("n", "budget_A", "budget_B", "c0_inv"):
+        path = f"sweep.{key}"
+        grid = grids[key.lower()] = _parse_range(_require(data, key, "sweep"), path,
+                                                 integral=key != "c0_inv")
+        points *= grid.size()
+        if points > MAX_SWEEP_POINTS:
+            raise ConfigError(
+                f"{path}: a grid of {grid.size():.6g} values brings the sweep to "
+                f"{points:.6g} points, over the limit of {MAX_SWEEP_POINTS}"
+            )
+    return SweepSpec(**grids)
 
 
 def load_sweep_spec(path: str | Path) -> SweepSpec:
@@ -237,7 +260,7 @@ def sweep_point_game(n: int, budget_a: int, budget_b: int, c0_inv: float) -> Cos
     c0 = 1.0 / c0_inv
     return CostBlottoGame(
         n=n, budget_a=budget_a, budget_b=budget_b,
-        valuations=(Valuation.sign_form(1),) * n,
+        valuations=(Valuation.sign_form(1, budget_a, budget_b),) * n,
         assign_costs_a=(CostFunction.zero(budget_a),) * n,
         assign_costs_b=(CostFunction.zero(budget_b),) * n,
         obtain_cost_a=CostFunction.linear(c0, budget_a),

@@ -36,10 +36,6 @@ class EnumerationCapError(ValueError):
     """An exhaustive enumeration would exceed the configured cap."""
 
 
-def _sign(a: int, b: int) -> int:
-    return (a > b) - (a < b)
-
-
 def _is_count(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
@@ -107,43 +103,35 @@ class CostFunction:
 
 @dataclass(frozen=True)
 class Valuation:
-    """Battlefield payoff ``v(a, b)`` to the first player.
+    """Battlefield payoff table to the first player, indexed ``rows[a][b]``.
 
-    ``sign`` valuations pay ``weight * sign(a - b)``: the battlefield is won
-    by whoever assigns strictly more.  ``table`` valuations are arbitrary and
-    are indexed ``rows[a][b]``.
+    :meth:`sign_form` fills the table with ``weight * sign(a - b)``: the
+    battlefield is won by whoever assigns strictly more.
     """
 
-    kind: str
-    weight: Number | None = None
-    rows: tuple[tuple[Number, ...], ...] | None = None
+    rows: tuple[tuple[Number, ...], ...]
 
     def __post_init__(self):
-        if self.kind not in ("sign", "table"):
-            raise ValueError(f"unknown valuation kind {self.kind!r}")
-        if self.kind == "sign":
-            if self.weight is None:
-                raise ValueError("sign valuation requires a weight")
-        else:
-            if self.rows is None:
-                raise ValueError("table valuation requires rows")
-            rows = tuple(tuple(r) for r in self.rows)
-            object.__setattr__(self, "rows", rows)
-            if not rows or any(len(r) != len(rows[0]) for r in rows):
-                raise ValueError("valuation table must be rectangular and non-empty")
+        rows = tuple(tuple(r) for r in self.rows)
+        object.__setattr__(self, "rows", rows)
+        if not rows or any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("valuation table must be rectangular and non-empty")
 
     @classmethod
-    def sign_form(cls, weight: Number = 1) -> "Valuation":
-        return cls(kind="sign", weight=weight)
+    def sign_form(cls, weight: Number, budget_a: int, budget_b: int) -> "Valuation":
+        return cls(rows=tuple(
+            tuple(weight * ((a > b) - (a < b)) for b in range(budget_b + 1))
+            for a in range(budget_a + 1)
+        ))
 
     @classmethod
     def from_table(cls, rows: Sequence[Sequence[Number]]) -> "Valuation":
-        return cls(kind="table", rows=tuple(tuple(r) for r in rows))
+        return cls(rows=rows)
 
-    def __call__(self, a: int, b: int) -> Number:
-        if self.kind == "sign":
-            return self.weight * _sign(a, b)
-        return self.rows[a][b]
+
+def negated_transpose(rows: Sequence[Sequence[Number]]) -> tuple[tuple[Number, ...], ...]:
+    """``out[b][a] == -rows[a][b]``: a payoff table seen by the other player."""
+    return tuple(tuple(-row[b] for row in rows) for b in range(len(rows[0])))
 
 
 @dataclass(frozen=True)
@@ -181,12 +169,11 @@ class CostBlottoGame:
             if len(seq) != self.n:
                 raise ValueError(f"{name} has {len(seq)} entries, expected n={self.n}")
         for i, v in enumerate(self.valuations):
-            if v.kind == "table":
-                if len(v.rows) != self.budget_a + 1 or len(v.rows[0]) != self.budget_b + 1:
-                    raise ValueError(
-                        f"valuations[{i}] table is {len(v.rows)}x{len(v.rows[0])}, "
-                        f"expected {self.budget_a + 1}x{self.budget_b + 1}"
-                    )
+            if len(v.rows) != self.budget_a + 1 or len(v.rows[0]) != self.budget_b + 1:
+                raise ValueError(
+                    f"valuations[{i}] table is {len(v.rows)}x{len(v.rows[0])}, "
+                    f"expected {self.budget_a + 1}x{self.budget_b + 1}"
+                )
         for name, cost, budget in (
             *((f"assign_costs_a[{i}]", c, self.budget_a) for i, c in enumerate(self.assign_costs_a)),
             *((f"assign_costs_b[{i}]", c, self.budget_b) for i, c in enumerate(self.assign_costs_b)),
@@ -235,7 +222,7 @@ def payoff_costs(game: CostBlottoGame, s_a: Iterable[int], s_b: Iterable[int]) -
     """
     s_a = check_partial_assignment(s_a, game.budget_a, game.n)
     s_b = check_partial_assignment(s_b, game.budget_b, game.n)
-    value = sum(game.valuations[i](s_a[i], s_b[i]) for i in range(game.n))
+    value = sum(game.valuations[i].rows[s_a[i]][s_b[i]] for i in range(game.n))
     cost_a = sum(game.assign_costs_a[i](s_a[i]) for i in range(game.n))
     cost_b = sum(game.assign_costs_b[i](s_b[i]) for i in range(game.n))
     pay_a = value - cost_a - game.obtain_cost_a(sum(s_a))
@@ -254,7 +241,7 @@ def payoff_zero(game: CostBlottoGame, s_a: Iterable[int], s_b: Iterable[int]) ->
     """
     s_a = check_partial_assignment(s_a, game.budget_a, game.n)
     s_b = check_partial_assignment(s_b, game.budget_b, game.n)
-    value = sum(game.valuations[i](s_a[i], s_b[i]) for i in range(game.n))
+    value = sum(game.valuations[i].rows[s_a[i]][s_b[i]] for i in range(game.n))
     cost_a = sum(game.assign_costs_a[i](s_a[i]) for i in range(game.n))
     cost_b = sum(game.assign_costs_b[i](s_b[i]) for i in range(game.n))
     return value - cost_a - game.obtain_cost_a(sum(s_a)) + cost_b + game.obtain_cost_b(sum(s_b))
@@ -347,21 +334,11 @@ def swap_players(game: CostBlottoGame) -> CostBlottoGame:
     transposed so pure payoffs satisfy
     ``payoff_costs(swapped, s_b, s_a) == (pay_b, pay_a)``.
     """
-    swapped_vals = []
-    for v in game.valuations:
-        if v.kind == "sign":
-            swapped_vals.append(v)  # w*sign(a-b) is antisymmetric already
-        else:
-            rows = tuple(
-                tuple(-v.rows[a][b] for a in range(game.budget_a + 1))
-                for b in range(game.budget_b + 1)
-            )
-            swapped_vals.append(Valuation.from_table(rows))
     return CostBlottoGame(
         n=game.n,
         budget_a=game.budget_b,
         budget_b=game.budget_a,
-        valuations=tuple(swapped_vals),
+        valuations=tuple(Valuation(negated_transpose(v.rows)) for v in game.valuations),
         assign_costs_a=game.assign_costs_b,
         assign_costs_b=game.assign_costs_a,
         obtain_cost_a=game.obtain_cost_b,

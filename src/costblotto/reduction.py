@@ -20,6 +20,7 @@ from .game import (
     PureStrategy,
     check_full_assignment,
     check_partial_assignment,
+    negated_transpose,
     _check_player,
     _is_count,
 )
@@ -73,9 +74,9 @@ def build_sunk_cost(game: CostBlottoGame) -> SunkCostGame:
     da, db = game.budget_a, game.budget_b
     tables = []
     for i in range(game.n):
-        v, ca, cb = game.valuations[i], game.assign_costs_a[i], game.assign_costs_b[i]
+        rows, ca, cb = game.valuations[i].rows, game.assign_costs_a[i], game.assign_costs_b[i]
         tables.append(tuple(
-            tuple(v(a, b) - ca(a) + cb(b) for b in range(db + 1))
+            tuple(rows[a][b] - ca(a) + cb(b) for b in range(db + 1))
             for a in range(da + 1)
         ))
     ga, gb = game.obtain_cost_a, game.obtain_cost_b
@@ -117,9 +118,4 @@ def oriented_valuations(sunk: SunkCostGame, player: str) -> tuple[int, int, tupl
     _check_player(player)
     if player == "A":
         return sunk.budget_a, sunk.budget_b, sunk.valuations_hat
-    tables = tuple(
-        tuple(tuple(-t[a][b] for a in range(sunk.budget_a + 1))
-              for b in range(sunk.budget_b + 1))
-        for t in sunk.valuations_hat
-    )
-    return sunk.budget_b, sunk.budget_a, tables
+    return sunk.budget_b, sunk.budget_a, tuple(negated_transpose(t) for t in sunk.valuations_hat)

@@ -12,7 +12,7 @@ def example_one() -> CostBlottoGame:
         n=2,
         budget_a=2,
         budget_b=2,
-        valuations=(Valuation.sign_form(1), Valuation.sign_form(1)),
+        valuations=(Valuation.sign_form(1, 2, 2), Valuation.sign_form(1, 2, 2)),
         assign_costs_a=(CostFunction.zero(2), CostFunction.zero(2)),
         assign_costs_b=(CostFunction.zero(2), CostFunction.zero(2)),
         obtain_cost_a=CostFunction.linear(1, 2),
@@ -45,7 +45,7 @@ def random_game(rng: random.Random, n_max: int = 3, d_max: int = 5,
     vals = []
     for _ in range(n):
         if rng.random() < 0.5:
-            vals.append(Valuation.sign_form(rng.randint(1, 2)))
+            vals.append(Valuation.sign_form(rng.randint(1, 2), d_a, d_b))
         else:
             rows = tuple(
                 tuple(rng.randint(-2, 2) for _ in range(d_b + 1))
@@ -61,4 +61,37 @@ def random_game(rng: random.Random, n_max: int = 3, d_max: int = 5,
         assign_costs_b=tuple(random_cost(rng, d_b, exact) for _ in range(n)),
         obtain_cost_a=random_cost(rng, d_a, exact),
         obtain_cost_b=random_cost(rng, d_b, exact),
+    )
+
+
+#: Sign weights whose tables must keep ``w * sign(a - b)`` in value and type.
+SIGN_WEIGHTS = [1, Fraction(1, 3), 0.1, 0.3, 0.7]
+
+
+def decimal_step_game(rng: random.Random, weight, step: float) -> CostBlottoGame:
+    """Random game with sign valuations of ``weight`` and float table costs
+    summed in steps of ``step``.
+
+    With a step such as 0.1 or 0.3 the cost tables are not dyadic, so a
+    change in the order of floating-point operations shows up in results.
+    """
+    n = rng.randint(2, 3)
+    d_a = rng.randint(0, 5)
+    d_b = rng.randint(0, 5)
+
+    def cost(d):
+        values = [0.0]
+        for _ in range(d):
+            values.append(values[-1] + step * rng.randint(0, 3))
+        return CostFunction.from_table(values)
+
+    return CostBlottoGame(
+        n=n,
+        budget_a=d_a,
+        budget_b=d_b,
+        valuations=(Valuation.sign_form(weight, d_a, d_b),) * n,
+        assign_costs_a=tuple(cost(d_a) for _ in range(n)),
+        assign_costs_b=tuple(cost(d_b) for _ in range(n)),
+        obtain_cost_a=cost(d_a),
+        obtain_cost_b=cost(d_b),
     )

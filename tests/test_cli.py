@@ -484,6 +484,28 @@ class TestConfigBoundary:
         assert err["error"]["type"] == "ConfigError"
         assert err["error"]["message"].startswith(f"{tmp_path}: cannot read sweep spec file")
 
+    def test_binary_config_exit_code_2(self, tmp_path, capsys):
+        path = tmp_path / "game.json"
+        path.write_bytes(b"\xff\xfe\x00\x01\x02\x03")
+        assert main(["solve", "--config", str(path), "--player", "A",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {
+            "type": "ConfigError",
+            "message": f"{path}: cannot read config file: not UTF-8 text "
+                       "(invalid start byte at byte 0)"}
+
+    def test_binary_spec_exit_code_2(self, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        path.write_bytes(b"\xff\xfe\x00\x01\x02\x03")
+        assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "o"),
+                     "--jobs", "1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {
+            "type": "ConfigError",
+            "message": f"{path}: cannot read sweep spec file: not UTF-8 text "
+                       "(invalid start byte at byte 0)"}
+
 
 def _failed_certificate(game, xi_a, xi_b):
     return False, 0.5, 0.0

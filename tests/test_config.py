@@ -12,7 +12,7 @@ from costblotto import (
     payoff_costs,
     sweep_point_game,
 )
-from costblotto.config import parse_cost_spec, parse_valuation_spec
+from costblotto.config import MAX_SWEEP_POINTS, parse_cost_spec, parse_valuation_spec
 
 EXAMPLE = {
     "n": 2,
@@ -44,7 +44,7 @@ class TestParseGameConfig:
             {"kind": "table", "values": [0, 1, 1]},
         ]
         game = parse_game_config(data)
-        assert game.valuations[1](2, 0) == 1
+        assert game.valuations[1].rows[2][0] == 1
         assert game.assign_costs_a[1](2) == 1
 
     def test_wrong_list_length(self):
@@ -184,6 +184,30 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match=rf"sweep\.{field}\.\w+: expected a finite number"):
             parse_sweep_spec(dict(self.SPEC, **{field: grid}))
 
+    # parsed only: the point list of either grid would not fit in memory
+    @pytest.mark.parametrize("field,grid", [
+        ("c0_inv", {"min": 1, "max": 2, "interval": 1e-12}),
+        ("n", {"min": 2, "max": 1e12}),
+    ])
+    def test_huge_grid_rejected(self, field, grid):
+        with pytest.raises(ConfigError, match=rf"^sweep\.{field}: .* over the limit of {MAX_SWEEP_POINTS}$"):
+            parse_sweep_spec(dict(self.SPEC, **{field: grid}))
+
+    def test_grids_at_the_limit_accepted(self):
+        spec = parse_sweep_spec(dict(
+            self.SPEC, n={"min": 1, "max": 1000}, c0_inv={"min": 0.5, "max": 100.4, "interval": 0.1}))
+        assert spec.n.size() * spec.c0_inv.size() == MAX_SWEEP_POINTS
+        with pytest.raises(ConfigError, match=r"^sweep\.c0_inv: .* brings the sweep to 1\.001e\+06 points"):
+            parse_sweep_spec(dict(
+                self.SPEC, n={"min": 1, "max": 1000}, c0_inv={"min": 0.5, "max": 100.5, "interval": 0.1}))
+
+    @pytest.mark.parametrize("grid", [
+        GridRange(1, 2, 0.5), GridRange(0.5, 100.4, 0.1), GridRange(2, 2, 1),
+        GridRange(1, 10, 0.3), GridRange(0.1, 0.7, 0.1), GridRange(9.75, 10.25, 0.05),
+    ])
+    def test_size_counts_values(self, grid):
+        assert grid.size() == len(grid.values())
+
 
 class TestSweepPointGame:
     def test_structure(self):
@@ -194,7 +218,7 @@ class TestSweepPointGame:
         assert game.obtain_cost_a(5) == pytest.approx(2.0)
         assert game.obtain_cost_b(4) == pytest.approx(1.6)
         assert all(game.assign_costs_a[i](2) == 0 for i in range(3))
-        assert game.valuations[0](3, 1) == 1
+        assert game.valuations[0].rows[3][1] == 1
 
     def test_example_point_matches_fixture(self, example_game):
         game = sweep_point_game(2, 2, 2, 1.0)

@@ -20,7 +20,7 @@ from costblotto import (
     payoff_zero,
     swap_players,
 )
-from conftest import example_one, random_game
+from conftest import SIGN_WEIGHTS, decimal_step_game, example_one, random_game
 
 
 class TestCostFunction:
@@ -82,17 +82,27 @@ class TestCostFunction:
 class TestValuation:
     @pytest.mark.parametrize("a,b,expected", [(2, 0, 3), (0, 2, -3), (1, 1, 0)])
     def test_sign_form(self, a, b, expected):
-        assert Valuation.sign_form(3)(a, b) == expected
+        assert Valuation.sign_form(3, 2, 2).rows[a][b] == expected
+
+    @pytest.mark.parametrize("weight", SIGN_WEIGHTS)
+    def test_sign_form_table_matches_formula(self, weight):
+        v = Valuation.sign_form(weight, 4, 3)
+        assert len(v.rows) == 5 and all(len(row) == 4 for row in v.rows)
+        for a in range(5):
+            for b in range(4):
+                expected = weight * ((a > b) - (a < b))
+                assert type(v.rows[a][b]) is type(expected)
+                assert repr(v.rows[a][b]) == repr(expected)
 
     def test_table(self):
         v = Valuation.from_table(((0, -1), (2, 0)))
-        assert v(1, 0) == 2
-        assert v(0, 1) == -1
+        assert v.rows[1][0] == 2
+        assert v.rows[0][1] == -1
 
     @given(st.integers(0, 10), st.integers(0, 10), st.integers(1, 5))
     def test_sign_antisymmetry(self, a, b, w):
-        v = Valuation.sign_form(w)
-        assert v(a, b) == -v(b, a)
+        v = Valuation.sign_form(w, 10, 10)
+        assert v.rows[a][b] == -v.rows[b][a]
 
 
 class TestCostBlottoGame:
@@ -102,7 +112,7 @@ class TestCostBlottoGame:
                 n=1,
                 budget_a=1,
                 budget_b=1,
-                valuations=(Valuation.sign_form(1),),
+                valuations=(Valuation.sign_form(1, 1, 1),),
                 assign_costs_a=(CostFunction.zero(1),),
                 assign_costs_b=(CostFunction.zero(1),),
                 obtain_cost_a=CostFunction.zero(1),
@@ -128,12 +138,17 @@ class TestCostBlottoGame:
                 n=2,
                 budget_a=2,
                 budget_b=2,
-                valuations=(Valuation.sign_form(1),),
+                valuations=(Valuation.sign_form(1, 2, 2),),
                 assign_costs_a=example_game.assign_costs_a,
                 assign_costs_b=example_game.assign_costs_b,
                 obtain_cost_a=example_game.obtain_cost_a,
                 obtain_cost_b=example_game.obtain_cost_b,
             )
+
+    def test_sign_table_for_other_budgets_rejected(self, example_game):
+        with pytest.raises(ValueError, match=r"valuations\[1\] table is 4x3, expected 3x3"):
+            dataclasses.replace(example_game, valuations=(
+                Valuation.sign_form(1, 2, 2), Valuation.sign_form(1, 3, 2)))
 
 
 class TestPayoffs:
@@ -232,6 +247,19 @@ class TestPayoffs:
             pay_a, pay_b = payoff_costs(game, s_a, s_b)
             assert payoff_costs(swapped, s_b, s_a) == (pay_b, pay_a)
             assert payoff_zero(swapped, s_b, s_a) == -payoff_zero(game, s_a, s_b)
+
+    @pytest.mark.parametrize("step", [0.1, 0.3])
+    @pytest.mark.parametrize("weight", SIGN_WEIGHTS)
+    def test_swap_players_mirrors_payoffs_decimal_steps(self, weight, step):
+        rng = random.Random(300)
+        for _ in range(5):
+            game = decimal_step_game(rng, weight, step)
+            swapped = swap_players(game)
+            for _ in range(10):
+                s_a = _random_partial(rng, game.budget_a, game.n)
+                s_b = _random_partial(rng, game.budget_b, game.n)
+                pay_a, pay_b = payoff_costs(game, s_a, s_b)
+                assert payoff_costs(swapped, s_b, s_a) == (pay_b, pay_a)
 
 
 class TestEnumerate:

@@ -298,7 +298,7 @@ class TestStatisticBounds:
             n=2,
             budget_a=6,
             budget_b=6,
-            valuations=(Valuation.sign_form(1), Valuation.sign_form(1)),
+            valuations=(Valuation.sign_form(1, 6, 6), Valuation.sign_form(1, 6, 6)),
             assign_costs_a=(CostFunction.zero(6), CostFunction.zero(6)),
             assign_costs_b=(CostFunction.zero(6), CostFunction.zero(6)),
             obtain_cost_a=CostFunction.linear(0.4, 6),

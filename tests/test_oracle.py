@@ -51,7 +51,7 @@ def exact_example():
         n=2,
         budget_a=2,
         budget_b=2,
-        valuations=(Valuation.sign_form(Fraction(1)), Valuation.sign_form(Fraction(1))),
+        valuations=(Valuation.sign_form(Fraction(1), 2, 2),) * 2,
         assign_costs_a=(CostFunction.zero(2), CostFunction.zero(2)),
         assign_costs_b=(CostFunction.zero(2), CostFunction.zero(2)),
         obtain_cost_a=CostFunction.linear(Fraction(1), 2),
@@ -183,7 +183,7 @@ class TestExhaustiveEquilibria:
             n=2,
             budget_a=1,
             budget_b=1,
-            valuations=(Valuation.sign_form(0), Valuation.sign_form(0)),
+            valuations=(Valuation.sign_form(0, 1, 1), Valuation.sign_form(0, 1, 1)),
             assign_costs_a=(CostFunction.zero(1), CostFunction.zero(1)),
             assign_costs_b=(CostFunction.zero(1), CostFunction.zero(1)),
             obtain_cost_a=CostFunction.zero(1),

@@ -11,7 +11,7 @@ from costblotto import (
     unmap_strategy,
 )
 from costblotto.reduction import oriented_valuations
-from conftest import random_game
+from conftest import SIGN_WEIGHTS, decimal_step_game, random_game
 
 
 class TestBuildSunkCost:
@@ -39,7 +39,7 @@ class TestBuildSunkCost:
         for i in range(game.n):
             for a in range(game.budget_a + 1):
                 for b in range(game.budget_b + 1):
-                    expected = (game.valuations[i](a, b)
+                    expected = (game.valuations[i].rows[a][b]
                                 - game.assign_costs_a[i](a)
                                 + game.assign_costs_b[i](b))
                     assert sunk.valuations_hat[i][a][b] == expected
@@ -48,6 +48,25 @@ class TestBuildSunkCost:
                 expected = (-game.obtain_cost_a(game.budget_a - a)
                             + game.obtain_cost_b(game.budget_b - b))
                 assert sunk.valuations_hat[game.n][a][b] == expected
+
+    @pytest.mark.parametrize("step", [0.1, 0.3])
+    @pytest.mark.parametrize("weight", SIGN_WEIGHTS)
+    def test_pointwise_formula_decimal_steps(self, weight, step):
+        rng = random.Random(400)
+        for _ in range(5):
+            game = decimal_step_game(rng, weight, step)
+            sunk = build_sunk_cost(game)
+            for i in range(game.n):
+                ca, cb = game.assign_costs_a[i], game.assign_costs_b[i]
+                for a in range(game.budget_a + 1):
+                    for b in range(game.budget_b + 1):
+                        expected = weight * ((a > b) - (a < b)) - ca(a) + cb(b)
+                        assert repr(sunk.valuations_hat[i][a][b]) == repr(expected)
+            ga, gb = game.obtain_cost_a, game.obtain_cost_b
+            for a in range(game.budget_a + 1):
+                for b in range(game.budget_b + 1):
+                    expected = -ga(game.budget_a - a) + gb(game.budget_b - b)
+                    assert repr(sunk.valuations_hat[game.n][a][b]) == repr(expected)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_zero_cost_game_degenerates(self, seed):
@@ -69,7 +88,7 @@ class TestBuildSunkCost:
         for i in range(game.n):
             for a in range(game.budget_a + 1):
                 for b in range(game.budget_b + 1):
-                    assert sunk.valuations_hat[i][a][b] == game.valuations[i](a, b)
+                    assert sunk.valuations_hat[i][a][b] == game.valuations[i].rows[a][b]
         assert all(
             x == 0 for row in sunk.valuations_hat[game.n] for x in row)
 
