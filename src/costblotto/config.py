@@ -222,7 +222,10 @@ def _parse_range(data, path: str, integral: bool) -> GridRange:
         for name, x in (("min", lo), ("max", hi), ("interval", step)):
             if x != int(x):
                 raise ConfigError(f"{path}.{name}: expected an integer, got {x!r}")
-    return GridRange(start=lo, stop=hi, interval=step)
+    try:
+        return GridRange(start=lo, stop=hi, interval=step)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}{'.interval' if step <= 0 else ''}: {exc}") from None
 
 
 #: Every sweep point is one solve, and :meth:`SweepSpec.points` lists them all

@@ -347,17 +347,14 @@ def _optimal_face(model: MinimaxLP, sol: BackendSolution) -> LinearProgram:
     point is optimal exactly when every column with a nonzero reduced cost
     sits on its lower bound (A's flow edges on no best response to B's dual
     equilibrium) and every ``<=`` row with a nonzero dual (B's dual-flow
-    support and the value row) is tight: fix the former, make the latter
-    equalities."""
+    support and the value row) is tight: fix the former, mark the latter
+    tight.  The face keeps the stage-one matrix, so a backend that holds the
+    stage-one model re-solves it from the stage-one basis."""
     base = model.program
     fixed, tight = face_masks(sol)
     upper = base.upper.copy()
     upper[fixed] = base.lower[fixed]
-    k = base.num_eq
-    order = np.concatenate(
-        (np.arange(k), k + np.flatnonzero(tight), k + np.flatnonzero(~tight)))
-    return replace(base, a=base.a[order], num_eq=k + int(tight.sum()),
-                   rhs=base.rhs[order], upper=upper)
+    return replace(base, upper=upper, tight=tight)
 
 
 def equilibrium_statistic_bounds(
@@ -370,17 +367,20 @@ def equilibrium_statistic_bounds(
     over the stage-one LP's optimal face, which is exactly A's equilibrium
     set, so every witness is itself an equilibrium strategy.  All statistics
     share stage one and its face, which keeps min and max comparable
-    bound-for-bound.
+    bound-for-bound.  Stage two runs direction by direction, each statistic
+    in turn: where one statistic is a multiple of the one before it (in the
+    sweep family expenditure is c0 times resources), its solve starts from
+    an optimal basis.
     """
     backend = get_backend()
     model = build_minimax_lp(build_sunk_cost(game), "A")
     base = solve(model, backend)
     face = _optimal_face(model, base.solution)
-    out: dict[str, dict[str, tuple[float, SolveResult]]] = {}
-    for name, statistic in statistics.items():
-        objective = _statistic_objective(model, statistic)
-        out[name] = {}
-        for direction in ("min", "max"):
+    objectives = {name: _statistic_objective(model, statistic)
+                  for name, statistic in statistics.items()}
+    out: dict[str, dict[str, tuple[float, SolveResult]]] = {name: {} for name in objectives}
+    for direction in ("min", "max"):
+        for name, objective in objectives.items():
             witness = _result_from_solution(
                 model, backend.solve(replace(face, sense=direction, objective=objective)),
                 f"stage-two solve for {name}/{direction}", witness=True)

@@ -25,9 +25,17 @@ def example_game() -> CostBlottoGame:
     return example_one()
 
 
-def random_cost(rng: random.Random, domain_max: int, exact: bool = False) -> CostFunction:
-    """Non-decreasing table cost with increments drawn from {0, 1/4, 1/2, 1}."""
-    increments = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)]
+#: Cost increments whose float sums are not dyadic, so that a change in the
+#: order of floating-point operations shows up in results.
+DECIMAL_INCREMENTS = (0.0, 0.1, 0.3, 0.7)
+
+
+def random_cost(rng: random.Random, domain_max: int, exact: bool = False,
+                increments=None) -> CostFunction:
+    """Non-decreasing table cost with increments drawn from {0, 1/4, 1/2, 1},
+    or from ``increments`` (such as :data:`DECIMAL_INCREMENTS`) when given."""
+    if increments is None:
+        increments = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)]
     values = [Fraction(0)]
     for _ in range(domain_max):
         values.append(values[-1] + rng.choice(increments))
@@ -37,8 +45,9 @@ def random_cost(rng: random.Random, domain_max: int, exact: bool = False) -> Cos
 
 
 def random_game(rng: random.Random, n_max: int = 3, d_max: int = 5,
-                exact: bool = False) -> CostBlottoGame:
-    """Random instance: integer valuations in [-2, 2], random monotone costs."""
+                exact: bool = False, increments=None) -> CostBlottoGame:
+    """Random instance: integer valuations in [-2, 2], random monotone costs
+    (see :func:`random_cost` for ``increments``)."""
     n = rng.randint(2, n_max)
     d_a = rng.randint(0, d_max)
     d_b = rng.randint(0, d_max)
@@ -57,10 +66,10 @@ def random_game(rng: random.Random, n_max: int = 3, d_max: int = 5,
         budget_a=d_a,
         budget_b=d_b,
         valuations=tuple(vals),
-        assign_costs_a=tuple(random_cost(rng, d_a, exact) for _ in range(n)),
-        assign_costs_b=tuple(random_cost(rng, d_b, exact) for _ in range(n)),
-        obtain_cost_a=random_cost(rng, d_a, exact),
-        obtain_cost_b=random_cost(rng, d_b, exact),
+        assign_costs_a=tuple(random_cost(rng, d_a, exact, increments) for _ in range(n)),
+        assign_costs_b=tuple(random_cost(rng, d_b, exact, increments) for _ in range(n)),
+        obtain_cost_a=random_cost(rng, d_a, exact, increments),
+        obtain_cost_b=random_cost(rng, d_b, exact, increments),
     )
 
 

@@ -281,6 +281,26 @@ class TestLpStats:
         assert report["value"] == pytest.approx(0, abs=1e-8)
 
 
+class TestSolverOutput:
+    """HiGHS runs under the backend's own logging settings.  ``capfd`` reads
+    file descriptors 1 and 2, so it also sees what HiGHS's C++ code writes."""
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--player", "A"],
+        ["bounds", "--statistic", "resources"],
+        ["lp-stats"],
+    ])
+    def test_only_the_command_writes(self, args, config_path, tmp_path, capfd):
+        out_dir = [] if args[0] == "lp-stats" else ["--out", str(tmp_path / "out")]
+        assert main(args + ["--config", config_path] + out_dir) == 0
+        out, err = capfd.readouterr()
+        assert err == ""
+        if args[0] == "lp-stats":  # the report alone, as json.dumps writes it
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        else:
+            assert out == ""
+
+
 class ConservationBreakingBackend(ScipyHighsBackend):
     """Real solves whose first opponent-potential row dual is off by 0.5, so
     the opponent flow read from the duals breaks conservation."""

@@ -173,6 +173,17 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match="c0_inv"):
             parse_sweep_spec(bad)
 
+    @pytest.mark.parametrize("field,grid,message", [
+        ("c0_inv", {"min": 1, "max": 2, "interval": 0},
+         "sweep.c0_inv.interval: grid interval must be positive, got 0"),
+        ("c0_inv", {"min": 3, "max": 2},
+         "sweep.c0_inv: grid is empty: max 2 below min 3"),
+    ])
+    def test_grid_errors_name_the_field(self, field, grid, message):
+        with pytest.raises(ConfigError) as info:
+            parse_sweep_spec(dict(self.SPEC, **{field: grid}))
+        assert str(info.value) == message
+
     # parsed only: at an unchecked boundary these grids never end
     @pytest.mark.parametrize("field,grid", [
         ("n", {"min": 2, "max": float("inf")}),

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -29,8 +30,10 @@ from costblotto import (
 )
 from costblotto.cli import classify_hypothesis_case
 from costblotto.config import sweep_point_game
+from costblotto.minimax import _optimal_face, _statistic_objective
+from costblotto.solver import get_backend
 from costblotto.strategy import best_response_value
-from conftest import example_one, random_game
+from conftest import DECIMAL_INCREMENTS, example_one, random_game
 from scipy.optimize import linprog
 
 S_STAR = {(0, 0), (0, 1), (1, 0), (1, 1)}
@@ -394,3 +397,49 @@ class TestBoundsOracle:
         for name, (lo, hi) in oracle.items():
             assert abs(bounds[name]["min"][0] - lo) <= BOUNDS_ORACLE_TOL, (name, lo)
             assert abs(bounds[name]["max"][0] - hi) <= BOUNDS_ORACLE_TOL, (name, hi)
+
+
+def _cold_face_bounds(game, statistics):
+    """Each bound that :func:`equilibrium_statistic_bounds` returns, from a
+    cold solve of its face LP on a fresh backend."""
+    model = build_minimax_lp(build_sunk_cost(game), "A")
+    face = _optimal_face(model, solve(model).solution)
+    bounds = {}
+    for name, statistic in statistics.items():
+        objective = _statistic_objective(model, statistic)
+        bounds[name] = {
+            direction: get_backend().solve(
+                replace(face, sense=direction, objective=objective)).objective
+            for direction in ("min", "max")}
+    return bounds
+
+
+class TestWarmFaceSolves:
+    """Stage two re-solves the stage-one model the backend holds, from its
+    basis; every bound must equal a cold solve of the same face LP."""
+
+    @pytest.mark.parametrize("increments", [None, DECIMAL_INCREMENTS],
+                             ids=["dyadic", "decimal"])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_cold_solve(self, seed, increments):
+        # drawn as acceptance criterion 3 draws its games
+        game = random_game(random.Random(7000 + seed), n_max=3, d_max=5,
+                           increments=increments)
+        statistics = {"res": resource_statistic(game), "exp": expenditure_statistic(game)}
+        _, warm = equilibrium_statistic_bounds(game, statistics)
+        cold = _cold_face_bounds(game, statistics)
+        for name in statistics:
+            for direction in ("min", "max"):
+                assert abs(warm[name][direction][0] - cold[name][direction]) \
+                    <= BOUNDS_ORACLE_TOL, (name, direction)
+
+    def test_expenditure_solves_start_optimal(self):
+        # expenditure is c0 times resources here, so the resource solve of the
+        # same direction leaves the held model at an optimal basis
+        game = sweep_point_game(4, 12, 12, 2.5)
+        _, bounds = equilibrium_statistic_bounds(
+            game, {"resources": resource_statistic(game),
+                   "expenditure": expenditure_statistic(game)})
+        for direction in ("min", "max"):
+            solution = bounds["expenditure"][direction][1].solution
+            assert (solution.iterations, solution.crossover_iterations) == (0, 0)

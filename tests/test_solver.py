@@ -1,9 +1,14 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import costblotto
 from costblotto.solver import (
     BACKEND_ENV_VAR,
     INFEASIBLE,
@@ -194,3 +199,42 @@ class TestBackendRegistry:
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         assert get_backend().method == "highs-ipm"
 
+
+class TestHeldModel:
+    """An LP over the held model's matrix object is re-solved in place; each
+    answer must match a cold solve on a fresh backend."""
+
+    @pytest.mark.parametrize("method", ["highs", "highs-ds", "highs-ipm"])
+    def test_changes_match_cold_solves(self, method):
+        lp = small_lp("max")
+        changed = [
+            dataclasses.replace(lp, tight=np.array([False, True])),  # x0 = 2
+            dataclasses.replace(lp, sense="min", objective=np.array([1.0, -1.0]),
+                                lower=np.array([0.5, 0.0]), upper=np.array([1.0, 2.0])),
+            dataclasses.replace(lp, objective=np.array([1.0, 2.0]), rhs=np.array([2.0, 1.0])),
+            lp,  # every change undone
+        ]
+        backend = ScipyHighsBackend(method)
+        backend.solve(lp)
+        for program in changed:
+            warm = backend.solve(program)
+            cold = ScipyHighsBackend(method).solve(program)
+            assert warm.status == cold.status == OPTIMAL
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+            assert warm.x == pytest.approx(cold.x, abs=1e-9)
+
+    def test_tight_length_checked(self):
+        with pytest.raises(ValueError, match="tight"):
+            dataclasses.replace(small_lp(), tight=np.array([True]))
+
+
+def test_missing_binding_fails_at_import():
+    # scipy releases without HiGHS's own binding lack ``_Highs``
+    code = ("import scipy.optimize._highspy._core as core\n"
+            "del core._Highs\n"
+            "import costblotto.solver\n")
+    src = Path(costblotto.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=False)
+    assert proc.returncode != 0
+    assert "ImportError: costblotto needs scipy>=1.17.1" in proc.stderr
