@@ -213,6 +213,22 @@ def check_full_assignment(s: Iterable[int], budget: int, n: int) -> PureStrategy
     return s
 
 
+def own_costs(assign_costs: Sequence[CostFunction], obtain_cost: CostFunction,
+              s: PureStrategy) -> tuple[Number, Number]:
+    """One player's own costs of its checked strategy ``s``: the sum of its
+    assignment costs over the battlefields, and its obtainment cost."""
+    return sum(c(t) for c, t in zip(assign_costs, s)), obtain_cost(sum(s))
+
+
+def _profile_terms(game: CostBlottoGame, s_a: Iterable[int], s_b: Iterable[int]):
+    """The battlefield valuation sum of a profile and each player's own costs."""
+    s_a = check_partial_assignment(s_a, game.budget_a, game.n)
+    s_b = check_partial_assignment(s_b, game.budget_b, game.n)
+    value = sum(game.valuations[i].rows[s_a[i]][s_b[i]] for i in range(game.n))
+    return (value, own_costs(game.assign_costs_a, game.obtain_cost_a, s_a),
+            own_costs(game.assign_costs_b, game.obtain_cost_b, s_b))
+
+
 def payoff_costs(game: CostBlottoGame, s_a: Iterable[int], s_b: Iterable[int]) -> tuple[Number, Number]:
     """Both players' payoffs in the game with costs.
 
@@ -220,14 +236,8 @@ def payoff_costs(game: CostBlottoGame, s_a: Iterable[int], s_b: Iterable[int]) -
     obtainment costs; player B receives the negated valuations minus its own
     costs.  The pair generally does not sum to zero.
     """
-    s_a = check_partial_assignment(s_a, game.budget_a, game.n)
-    s_b = check_partial_assignment(s_b, game.budget_b, game.n)
-    value = sum(game.valuations[i].rows[s_a[i]][s_b[i]] for i in range(game.n))
-    cost_a = sum(game.assign_costs_a[i](s_a[i]) for i in range(game.n))
-    cost_b = sum(game.assign_costs_b[i](s_b[i]) for i in range(game.n))
-    pay_a = value - cost_a - game.obtain_cost_a(sum(s_a))
-    pay_b = -value - cost_b - game.obtain_cost_b(sum(s_b))
-    return pay_a, pay_b
+    value, (cost_a, obtain_a), (cost_b, obtain_b) = _profile_terms(game, s_a, s_b)
+    return value - cost_a - obtain_a, -value - cost_b - obtain_b
 
 
 def payoff_zero(game: CostBlottoGame, s_a: Iterable[int], s_b: Iterable[int]) -> Number:
@@ -239,12 +249,8 @@ def payoff_zero(game: CostBlottoGame, s_a: Iterable[int], s_b: Iterable[int]) ->
     with those of the game with costs, and the shifted game is zero-sum.
     Player B's companion payoff is the negation of the returned value.
     """
-    s_a = check_partial_assignment(s_a, game.budget_a, game.n)
-    s_b = check_partial_assignment(s_b, game.budget_b, game.n)
-    value = sum(game.valuations[i].rows[s_a[i]][s_b[i]] for i in range(game.n))
-    cost_a = sum(game.assign_costs_a[i](s_a[i]) for i in range(game.n))
-    cost_b = sum(game.assign_costs_b[i](s_b[i]) for i in range(game.n))
-    return value - cost_a - game.obtain_cost_a(sum(s_a)) + cost_b + game.obtain_cost_b(sum(s_b))
+    value, (cost_a, obtain_a), (cost_b, obtain_b) = _profile_terms(game, s_a, s_b)
+    return value - cost_a - obtain_a + cost_b + obtain_b
 
 
 def enumerate_strategies(budget: int, n: int, full: bool = False,

@@ -3,18 +3,20 @@
 Enumerates both players' pure strategies, materializes the zero-sum payoff
 matrix, and solves the matrix game directly.  Games whose numbers are all
 ints or :class:`fractions.Fraction` are solved with an exact rational
-simplex; everything else goes through an independent floating-point solve.
-This path shares nothing with the flow formulation beyond pure payoffs, so
-agreement between the two is meaningful evidence of correctness.
+simplex; everything else goes through one floating-point LP over the payoff
+matrix.  That LP shares the package's HiGHS wrapper with the flow solver,
+but not its formulation: the two meet only in pure payoffs, so agreement
+between them is meaningful evidence of correctness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem
 
 import numpy as np
-from scipy.optimize import linprog
+import scipy.sparse as sp
 
 from .game import (
     CostBlottoGame,
@@ -22,8 +24,9 @@ from .game import (
     Number,
     PureStrategy,
     enumerate_strategies,
-    payoff_zero,
+    own_costs,
 )
+from .solver import OPTIMAL, LinearProgram, ScipyHighsBackend
 
 
 class OracleSolveError(RuntimeError):
@@ -59,14 +62,23 @@ def build_matrix(game: CostBlottoGame, max_strategies: int = 10_000) -> MatrixGa
 
     Rows are player A's partial assignments and columns player B's, both in
     lexicographic order.  Raises when either side would exceed
-    ``max_strategies``.
+    ``max_strategies``.  Each strategy's own costs are summed once; a cell
+    then adds up the battlefield valuations and combines the terms in
+    :func:`~costblotto.game.payoff_zero`'s operand order, so it equals that
+    function's value exactly.
     """
     rows = enumerate_strategies(game.budget_a, game.n, cap=max_strategies)
     cols = enumerate_strategies(game.budget_b, game.n, cap=max_strategies)
-    payoffs = tuple(
-        tuple(payoff_zero(game, s_a, s_b) for s_b in cols)
-        for s_a in rows
-    )
+    col_terms = [(s_b, *own_costs(game.assign_costs_b, game.obtain_cost_b, s_b))
+                 for s_b in cols]
+    tables = [v.rows for v in game.valuations]
+    payoffs = []
+    for s_a in rows:
+        cost_a, obtain_a = own_costs(game.assign_costs_a, game.obtain_cost_a, s_a)
+        lines = list(map(getitem, tables, s_a))  # battlefield i's row at s_a[i]
+        payoffs.append(tuple(
+            sum(map(getitem, lines, s_b)) - cost_a - obtain_a + cost_b + obtain_b
+            for s_b, cost_b, obtain_b in col_terms))
     return MatrixGame(row_strategies=tuple(rows), col_strategies=tuple(cols),
                       payoffs=payoffs)
 
@@ -151,16 +163,17 @@ def _solve_exact(payoffs) -> tuple[Fraction, list[Fraction], list[Fraction]]:
 def _solve_float(payoffs) -> tuple[float, np.ndarray, np.ndarray]:
     m = np.asarray(payoffs, dtype=float)
     shift = 1.0 - m.min()
-    shifted = m + shift
-    n_rows, n_cols = shifted.shape
-    res = linprog(-np.ones(n_cols), A_ub=shifted, b_ub=np.ones(n_rows),
-                  method="highs")
-    if res.status != 0:
-        raise OracleSolveError(f"matrix game solve failed: {res.message}")
-    value = 1.0 / (-res.fun) - shift
+    n_rows, n_cols = m.shape
+    # HiGHS's own method choice, whatever method the flow LPs are set to use
+    sol = ScipyHighsBackend("highs").solve(LinearProgram(
+        sense="max", objective=np.ones(n_cols), a=sp.csr_matrix(m + shift), num_eq=0,
+        rhs=np.ones(n_rows), lower=np.zeros(n_cols), upper=np.full(n_cols, np.inf)))
+    if sol.status != OPTIMAL:
+        raise OracleSolveError(f"matrix game solve failed: {sol.message}")
+    value = 1.0 / sol.objective - shift
     # the row player's strategy is the normalized dual of the row constraints
-    row = np.maximum(-res.ineqlin.marginals, 0.0)
-    col = np.maximum(res.x, 0.0)
+    row = np.maximum(sol.row_duals, 0.0)
+    col = np.maximum(sol.x, 0.0)
     return value, row / row.sum(), col / col.sum()
 
 

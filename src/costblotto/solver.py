@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 import scipy.sparse as sp
@@ -196,8 +197,8 @@ class ScipyHighsBackend:
         if status != OPTIMAL:
             return BackendSolution(status=status, x=None, objective=None, **info)
         solution = self._highs.getSolution()
-        at_lower = np.fromiter((s == HighsBasisStatus.kLower
-                                for s in self._highs.getBasis().col_status), bool, lp.num_vars)
+        at_lower = np.fromiter(map(attrgetter("value"), self._highs.getBasis().col_status),
+                               np.int8, lp.num_vars) == HighsBasisStatus.kLower.value
         return BackendSolution(
             status=OPTIMAL, x=np.array(solution.col_value), objective=float(sign * run.fun),
             row_duals=sign * np.array(solution.row_dual)[:len(tight)],

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from costblotto import cli, load_game, build_minimax_lp, build_sunk_cost, minimax, solve
+from costblotto import cli, load_game, build_minimax_lp, build_sunk_cost, minimax, oracle, solve
 from costblotto.cli import (
     SWEEP_CSV_HEADER,
     _fmt,
@@ -18,6 +18,7 @@ from costblotto.config import parse_sweep_spec, sweep_point_game
 from costblotto.solver import (
     BACKEND_ENV_VAR,
     INFEASIBLE,
+    NUMERIC_FAILURE,
     BackendSolution,
     ScipyHighsBackend,
     SolverFailureError,
@@ -558,6 +559,24 @@ class TestFailedCertificate:
 
 
 class TestFailingChecks:
+    def test_oracle_diff_matrix_solve_not_optimal(self, tmp_path, monkeypatch, capsys):
+        class FailingBackend(ScipyHighsBackend):
+            def solve(self, lp):
+                return BackendSolution(status=NUMERIC_FAILURE, x=None, objective=None,
+                                       message="stub failure")
+
+        # float costs send the oracle down its floating-point LP
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps({**EXAMPLE_CONFIG,
+                                    "obtain_cost_A": {"kind": "linear", "coeff": 0.3}}))
+        monkeypatch.setattr(oracle, "ScipyHighsBackend", FailingBackend)
+        assert main(["oracle-diff", "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err == {"type": "OracleSolveError",
+                       "message": "matrix game solve failed: stub failure"}
+
     def test_oracle_diff_outside_tolerance(self, config_path, monkeypatch, capsys):
         real = cli.matrix_game_solve
 

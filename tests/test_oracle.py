@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from costblotto import (
     CostBlottoGame,
@@ -9,13 +11,17 @@ from costblotto import (
     EnumerationCapError,
     MatrixGame,
     MixedStrategy,
+    OracleSolveError,
     Valuation,
     build_matrix,
     certify_equilibrium,
     matrix_game_solve,
+    oracle,
     payoff_costs,
+    payoff_zero,
 )
-from conftest import random_game
+from costblotto.solver import NUMERIC_FAILURE, BackendSolution
+from conftest import DECIMAL_INCREMENTS, SIGN_WEIGHTS, decimal_step_game, random_game
 
 #: Slack on the float matrix-game strategies' guarantees.
 MEMBERSHIP_EPS_FLOAT = 1e-7
@@ -82,6 +88,104 @@ class TestBuildMatrix:
         game = random_game(rng, n_max=3, d_max=5, exact=True)
         with pytest.raises(EnumerationCapError, match="oracle scale exceeded"):
             build_matrix(game, max_strategies=2)
+
+
+#: Number kinds of the payoff-cell games: (cost increments, valuation
+#: weights).  Each increment list starts with a zero of its kind.
+CELL_KINDS = {
+    "int": ((0, 1, 2), (1, 2)),
+    "fraction": ((Fraction(0), Fraction(1, 3), Fraction(1, 2)), (Fraction(1), Fraction(2, 3))),
+    "dyadic": ((0.0, 0.25, 0.5, 1.0), (1.0, 0.5)),
+    "decimal": (DECIMAL_INCREMENTS, (0.1, 0.3)),
+}
+
+
+def cell_game(rng: random.Random, kind: str, d_a: int, d_b: int) -> CostBlottoGame:
+    """A game of the given budgets whose costs and valuations are ``kind``
+    numbers: table costs in the kind's increments, and sign or table
+    valuations scaled by the kind's weights."""
+    increments, weights = CELL_KINDS[kind]
+    n = rng.randint(2, 3)
+
+    def cost(d):
+        values = [increments[0]]
+        for _ in range(d):
+            values.append(values[-1] + rng.choice(increments))
+        return CostFunction.from_table(values)
+
+    def valuation():
+        if rng.random() < 0.5:
+            return Valuation.sign_form(rng.choice(weights), d_a, d_b)
+        return Valuation.from_table([[rng.randint(-2, 2) * weights[-1] for _ in range(d_b + 1)]
+                                     for _ in range(d_a + 1)])
+
+    return CostBlottoGame(
+        n=n, budget_a=d_a, budget_b=d_b,
+        valuations=tuple(valuation() for _ in range(n)),
+        assign_costs_a=tuple(cost(d_a) for _ in range(n)),
+        assign_costs_b=tuple(cost(d_b) for _ in range(n)),
+        obtain_cost_a=cost(d_a), obtain_cost_b=cost(d_b),
+    )
+
+
+class TestMatrixCells:
+    @pytest.mark.parametrize("kind", sorted(CELL_KINDS))
+    @pytest.mark.parametrize("budgets", [(3, 3), (4, 2), (1, 5), (0, 0), (0, 3), (3, 0)])
+    def test_cells_are_payoff_zero(self, kind, budgets):
+        # value, type and repr, so no cell may sum its terms in another order
+        rng = random.Random(f"{kind}-{budgets}")
+        for _ in range(3):
+            game = cell_game(rng, kind, *budgets)
+            mg = build_matrix(game)
+            for s_a, row in zip(mg.row_strategies, mg.payoffs):
+                for s_b, cell in zip(mg.col_strategies, row):
+                    ref = payoff_zero(game, s_a, s_b)
+                    assert (cell, type(cell), repr(cell)) == (ref, type(ref), repr(ref)), \
+                        (s_a, s_b)
+
+
+def _decimal_games():
+    rng = random.Random(1300)
+    games = [random_game(rng, increments=DECIMAL_INCREMENTS) for _ in range(8)]
+    games += [decimal_step_game(rng, w, step) for w in SIGN_WEIGHTS for step in (0.1, 0.3)]
+    return games
+
+
+#: Float games with 0.1/0.3/0.7 cost steps, whose payoffs are not dyadic.
+DECIMAL_GAMES = _decimal_games()
+
+
+class TestFloatOracle:
+    @pytest.mark.parametrize("game", DECIMAL_GAMES)
+    def test_decimal_games_against_linprog(self, game):
+        mg = build_matrix(game)
+        assert not mg.is_exact
+        m = np.asarray(mg.payoffs, dtype=float)
+        shift = 1.0 - m.min()
+        n_rows, n_cols = m.shape
+        ref = linprog(-np.ones(n_cols), A_ub=m + shift, b_ub=np.ones(n_rows), method="highs")
+        assert ref.status == 0
+        value, xi_row, xi_col = matrix_game_solve(mg)
+        assert abs(value - (1.0 / -ref.fun - shift)) <= 1e-9
+        # both returned strategies guarantee the value against every pure reply
+        p = np.array([dict(xi_row.support).get(s, 0.0) for s in mg.row_strategies])
+        q = np.array([dict(xi_col.support).get(s, 0.0) for s in mg.col_strategies])
+        assert (p @ m).min() >= value - 1e-9
+        assert (m @ q).max() <= value + 1e-9
+
+    def test_not_optimal_raises(self, monkeypatch):
+        class FailingBackend:
+            def __init__(self, method):
+                assert method == "highs"
+
+            def solve(self, lp):
+                return BackendSolution(status=NUMERIC_FAILURE, x=None, objective=None,
+                                       message="stub failure")
+
+        monkeypatch.setattr(oracle, "ScipyHighsBackend", FailingBackend)
+        mg = build_matrix(DECIMAL_GAMES[0])
+        with pytest.raises(OracleSolveError, match="matrix game solve failed: stub failure"):
+            matrix_game_solve(mg)
 
 
 class TestMatrixGameSolve:

@@ -9,11 +9,15 @@ import pytest
 import scipy.sparse as sp
 
 import costblotto
+from costblotto import build_minimax_lp, build_sunk_cost
+from costblotto.config import sweep_point_game
+from costblotto.minimax import _optimal_face
 from costblotto.solver import (
     BACKEND_ENV_VAR,
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    HighsBasisStatus,
     LinearProgram,
     ScipyHighsBackend,
     get_backend,
@@ -171,6 +175,35 @@ class TestReducedCosts:
         sol = ScipyHighsBackend(method).solve(lp)
         assert sol.objective == pytest.approx(-6.0)
         assert sol.reduced_costs == pytest.approx([1.0, 0.0], abs=1e-9)
+
+    @pytest.mark.parametrize("method", ["highs", "highs-ds", "highs-ipm"])
+    def test_column_at_upper_bound_reads_zero(self, method):
+        # max 2 x0 + x1 - x2 s.t. x0 + x1 + x2 <= 3, x0 <= 1: x0 sits at its
+        # upper bound with a nonzero dual, x1 is basic, x2 is at its lower bound
+        lp = LinearProgram(sense="max", objective=np.array([2.0, 1.0, -1.0]),
+                           a=sp.csr_matrix(np.ones((1, 3))), num_eq=0, rhs=np.array([3.0]),
+                           lower=np.zeros(3), upper=np.array([1.0, np.inf, np.inf]))
+        sol = ScipyHighsBackend(method).solve(lp)
+        assert sol.x == pytest.approx([1.0, 2.0, 0.0], abs=1e-9)
+        assert sol.reduced_costs == pytest.approx([0.0, 0.0, -2.0], abs=1e-9)
+
+    def test_equal_to_a_scan_of_the_basis(self):
+        # the reduced costs of a stage-one solve and of a face solve on the
+        # held model, against a column-by-column scan of its basis statuses
+        model = build_minimax_lp(build_sunk_cost(sweep_point_game(3, 6, 5, 2.5)), "A")
+        backend = ScipyHighsBackend()
+
+        def check(sol, sign):
+            at_lower = [s == HighsBasisStatus.kLower
+                        for s in backend._highs.getBasis().col_status]
+            col_dual = np.array(backend._highs.getSolution().col_dual)
+            assert np.array_equal(sol.reduced_costs, sign * np.where(at_lower, col_dual, 0.0))
+            assert 0 < sum(at_lower) < len(at_lower)
+
+        base = backend.solve(model.program)
+        check(base, -1.0)
+        face = _optimal_face(model, base)
+        check(backend.solve(dataclasses.replace(face, sense="min")), 1.0)
 
     def test_not_optimal_has_no_reduced_costs(self):
         infeasible = dataclasses.replace(small_lp(), rhs=np.array([-1.0, 2.0]))
