@@ -323,7 +323,8 @@ def cmd_oracle_diff(config: str) -> dict:
 
 
 def cmd_lp_stats(config: str) -> dict:
-    """Report LP sizes, the LP method, and build/solve times for a config."""
+    """Report LP sizes, the LP method and the HiGHS solver that ran, and
+    build/solve times for a config."""
     game = load_game(config)
     sunk = build_sunk_cost(game)
     t0 = time.perf_counter()
@@ -345,6 +346,7 @@ def cmd_lp_stats(config: str) -> dict:
         "build_ms": round(build_ms, 3),
         "solve_ms": round(solve_ms, 3),
         "method": get_backend().method,
+        "lp_solver": result.solution.lp_solver,
         "iterations": result.solution.iterations,
         "crossover_iterations": result.solution.crossover_iterations,
         "status": result.status,

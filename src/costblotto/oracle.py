@@ -164,9 +164,12 @@ def _solve_float(payoffs) -> tuple[float, np.ndarray, np.ndarray]:
     m = np.asarray(payoffs, dtype=float)
     shift = 1.0 - m.min()
     n_rows, n_cols = m.shape
+    # every shifted entry is at least 1, so the CSR arrays hold them all, row by row
+    a = sp.csr_matrix(((m + shift).ravel(), np.tile(np.arange(n_cols), n_rows),
+                       np.arange(0, n_rows * n_cols + 1, n_cols)), shape=m.shape)
     # HiGHS's own method choice, whatever method the flow LPs are set to use
     sol = ScipyHighsBackend("highs").solve(LinearProgram(
-        sense="max", objective=np.ones(n_cols), a=sp.csr_matrix(m + shift), num_eq=0,
+        sense="max", objective=np.ones(n_cols), a=a, num_eq=0,
         rhs=np.ones(n_rows), lower=np.zeros(n_cols), upper=np.full(n_cols, np.inf)))
     if sol.status != OPTIMAL:
         raise OracleSolveError(f"matrix game solve failed: {sol.message}")

@@ -1,11 +1,16 @@
 """HiGHS linear-programming backend behind a minimal model type.
 
-A backend hands each LP to one HiGHS model, built through scipy's binding of
-HiGHS's own ``Highs`` class the way ``scipy.optimize.linprog`` builds it:
-the ``<=`` rows, then the equalities, under ``linprog``'s options.  The
+A backend hands each LP to one HiGHS model through scipy's binding of HiGHS's
+own ``Highs`` class: the LP's CSR arrays go to HiGHS row-wise as they are,
+with the ``<=`` rows moved ahead of the equalities by offsetting the row
+starts, and HiGHS stores the same column-wise model that
+``scipy.optimize.linprog`` would build, under ``linprog``'s options.  The
 default method is HiGHS's interior-point solver with its default crossover,
-so solutions stay basic (vertex solutions); the ``COSTBLOTTO_LP_BACKEND``
-environment variable selects another HiGHS method.  The backend keeps the
+so solutions stay basic (vertex solutions), except that an LP with fewer than
+:data:`SIMPLEX_BELOW_COLUMNS` (600) columns is solved by dual simplex, which
+also ends at a basis: in a ladder of flow LPs, simplex won every game of up
+to 534 columns and interior point most games of 794-841 columns.  The ``COSTBLOTTO_LP_BACKEND`` environment variable selects
+another HiGHS method, which then runs at every size.  The backend keeps the
 model of the last LP it built.  An LP over that same matrix object is solved
 by changing the model's costs and bounds in place and re-running primal
 simplex from the basis the model holds.
@@ -40,6 +45,13 @@ METHODS = {"highs": "choose", "highs-ds": "simplex", "highs-ipm": "ipm"}
 
 #: Interior point plus crossover: 2.5-18x faster than simplex on the flow LPs.
 DEFAULT_BACKEND = "highs-ipm"
+
+#: Under the default method, an LP with fewer columns is solved by simplex.
+#: Cold flow-LP solves, median of 5 (2-core x86_64 VM): simplex took 1.3-2.1x
+#: less time on table, linear, quadratic and sign games of 124-534 columns,
+#: the two were mixed at 664-676 columns, and interior point won 6 of 8
+#: linear, quadratic and sign games at 794-841 columns.
+SIMPLEX_BELOW_COLUMNS = 600
 
 
 class SolverFailureError(RuntimeError):
@@ -92,7 +104,8 @@ class BackendSolution:
     which the optimum grows with that row's right-hand side (so >= 0 for a
     ``max`` LP); ``reduced_costs`` holds, per column, the rate at which it
     grows with the column's lower bound (so <= 0 for a ``max`` LP, and 0 for
-    a column off its lower bound).  Both are set for optimal solutions only."""
+    a column off its lower bound).  Both are set for optimal solutions only.
+    ``lp_solver`` names the HiGHS solver that ran: ``"ipm"`` or ``"simplex"``."""
 
     status: str
     x: np.ndarray | None
@@ -100,6 +113,7 @@ class BackendSolution:
     message: str = ""
     iterations: int = 0
     crossover_iterations: int = 0
+    lp_solver: str = ""
     row_duals: np.ndarray | None = None
     reduced_costs: np.ndarray | None = None
 
@@ -112,13 +126,15 @@ _LINPROG_STATUS = {HighsModelStatus.kOptimal: 0, HighsModelStatus.kInfeasible: 2
 @dataclass(frozen=True)
 class HighsRun:
     """One HiGHS run in ``linprog``'s terms: ``status`` is its code (0 is
-    optimal), ``nit`` its iteration count and ``fun`` its objective."""
+    optimal), ``nit`` its iteration count and ``fun`` its objective.
+    ``lp_solver`` is ``"ipm"`` if interior point iterated, else ``"simplex"``."""
 
     status: int
     message: str
     nit: int
     crossover_nit: int
     fun: float
+    lp_solver: str
 
 
 # Keeps the name perfbench/spans.py binds as ``solver.highs`` until that span is rebound.
@@ -130,18 +146,22 @@ def linprog(highs: _Highs) -> HighsRun:
                     message=highs.modelStatusToString(status),
                     nit=info.simplex_iteration_count or info.ipm_iteration_count,
                     crossover_nit=info.crossover_iteration_count,
-                    fun=info.objective_function_value)
+                    fun=info.objective_function_value,
+                    lp_solver="ipm" if info.ipm_iteration_count > 0 else "simplex")
 
 
 class ScipyHighsBackend:
     """HiGHS, by one of its methods, on one held model at a time.
 
-    A model is built as ``linprog`` builds it, so a cold solve gives
-    ``linprog``'s answer bit for bit.  An LP whose matrix ``a`` is the held
-    model's (the same object) only changes the model's costs and bounds and
-    re-solves by primal simplex from the held basis.  Feasibility tolerances
-    are requested well below the package-wide flow tolerance so returned
-    solutions survive the post-solve conservation checks.
+    A model holds the matrix and options ``linprog`` would give HiGHS, so a
+    cold solve by the same HiGHS solver gives ``linprog``'s answer bit for
+    bit; under the default method, LPs with fewer than
+    :data:`SIMPLEX_BELOW_COLUMNS` columns get simplex, not interior point.
+    An LP whose matrix ``a`` is the held model's (the same object) only
+    changes the model's costs and bounds and re-solves by primal simplex
+    from the held basis.  Feasibility tolerances are requested well below
+    the package-wide flow tolerance so returned solutions survive the
+    post-solve conservation checks.
     """
 
     def __init__(self, method: str = DEFAULT_BACKEND):
@@ -151,19 +171,30 @@ class ScipyHighsBackend:
         self._matrix = self._highs = self._rows = None  # the held model, its rows' bounds
 
     def _build(self, lp: LinearProgram, cost: np.ndarray, rows) -> None:
-        k = lp.num_eq
-        a = sp.vstack((lp.a[k:], lp.a[:k])).tocsc()
+        """Hand HiGHS a new model: ``lp.a``'s CSR arrays as they are, row-wise,
+        with the ``<=`` rows moved ahead of the equalities by offsetting the
+        row starts.  HiGHS stores it column-wise, as the ``csc`` matrix of
+        ``sp.vstack((a[k:], a[:k]))`` that ``linprog`` would hand it.  Under
+        the default method, an LP of fewer than :data:`SIMPLEX_BELOW_COLUMNS`
+        (600, set from the ladder noted there) columns is solved by simplex."""
+        k, ptr = lp.num_eq, lp.a.indptr
+        split, nnz = ptr[k], ptr[-1]
         model = HighsLp()
         model.num_col_ = model.a_matrix_.num_col_ = lp.num_vars
         model.num_row_ = model.a_matrix_.num_row_ = lp.num_constraints
-        model.a_matrix_.format_ = MatrixFormat.kColwise
+        model.a_matrix_.format_ = MatrixFormat.kRowwise
         model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = (
-            a.indptr, a.indices, a.data)
+            np.concatenate((ptr[k:] - split, ptr[1:k + 1] + (nnz - split))),
+            np.concatenate((lp.a.indices[split:nnz], lp.a.indices[:split])),
+            np.concatenate((lp.a.data[split:nnz], lp.a.data[:split])))
         model.col_cost_, model.col_lower_, model.col_upper_ = cost, lp.lower, lp.upper
         model.row_lower_, model.row_upper_ = rows
         self._matrix, self._highs = lp.a, _Highs()
+        solver = METHODS[self.method]
+        if self.method == DEFAULT_BACKEND and lp.num_vars < SIMPLEX_BELOW_COLUMNS:
+            solver = "simplex"
         for option, value in (("output_flag", False), ("log_to_console", False),
-                              ("presolve", "on"), ("solver", METHODS[self.method]),
+                              ("presolve", "on"), ("solver", solver),
                               ("primal_feasibility_tolerance", 1e-9),
                               ("dual_feasibility_tolerance", 1e-9)):
             self._highs.setOptionValue(option, value)
@@ -193,7 +224,7 @@ class ScipyHighsBackend:
         run = linprog(self._highs)
         status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(run.status, NUMERIC_FAILURE)
         info = {"message": run.message, "iterations": run.nit,
-                "crossover_iterations": run.crossover_nit}
+                "crossover_iterations": run.crossover_nit, "lp_solver": run.lp_solver}
         if status != OPTIMAL:
             return BackendSolution(status=status, x=None, objective=None, **info)
         solution = self._highs.getSolution()

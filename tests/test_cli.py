@@ -20,6 +20,7 @@ from costblotto.solver import (
     INFEASIBLE,
     NUMERIC_FAILURE,
     BackendSolution,
+    SIMPLEX_BELOW_COLUMNS,
     ScipyHighsBackend,
     SolverFailureError,
 )
@@ -270,6 +271,7 @@ class TestLpStats:
         assert main(["lp-stats", "--config", config_path]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["method"] == "highs-ipm"
+        assert report["lp_solver"] == "simplex"  # 49 columns
         assert isinstance(report["iterations"], int) and report["iterations"] >= 0
         assert (isinstance(report["crossover_iterations"], int)
                 and report["crossover_iterations"] >= 0)
@@ -280,6 +282,16 @@ class TestLpStats:
         assert report["n_hat"] == 3
         assert report["status"] == "optimal"
         assert report["value"] == pytest.approx(0, abs=1e-8)
+
+    def test_large_lp_runs_interior_point(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(dict(EXAMPLE_CONFIG, n=3, budget_A=14, budget_B=14)))
+        assert main(["lp-stats", "--config", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["num_vars"] >= SIMPLEX_BELOW_COLUMNS
+        assert (report["method"], report["lp_solver"]) == ("highs-ipm", "ipm")
+        assert report["status"] == "optimal"
 
 
 class TestSolverOutput:

@@ -202,14 +202,22 @@ class TestSolve:
         oracle_value, _, _ = matrix_game_solve(build_matrix(game))
         assert abs(result.value - float(oracle_value)) <= 1e-9
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_oracle_equivalence(self, seed):
+    # dyadic costs keep their plain seed ids; decimal costs sum inexactly
+    @pytest.mark.parametrize(
+        "seed, increments",
+        [(seed, None) for seed in range(12)]
+        + [(seed, DECIMAL_INCREMENTS) for seed in range(12)],
+        ids=[str(seed) for seed in range(12)] + [f"decimal-{seed}" for seed in range(12)])
+    def test_oracle_equivalence(self, seed, increments):
         rng = random.Random(1000 + seed)
-        game = random_game(rng)
+        game = random_game(rng, increments=increments)
         result = solve(build_minimax_lp(build_sunk_cost(game), "A"))
         assert result.status == "optimal"
         oracle_value, _, _ = matrix_game_solve(build_matrix(game))
         assert abs(result.value - float(oracle_value)) <= 1e-6
+        is_eq, _, _ = certify_equilibrium(game, _strategy(result.flow, game.budget_a),
+                                          _strategy(result.opponent_flow, game.budget_b))
+        assert is_eq
 
     @pytest.mark.parametrize("seed", range(8))
     def test_perspective_symmetry(self, seed):

@@ -16,9 +16,11 @@ from costblotto.solver import (
     BACKEND_ENV_VAR,
     INFEASIBLE,
     OPTIMAL,
+    SIMPLEX_BELOW_COLUMNS,
     UNBOUNDED,
     HighsBasisStatus,
     LinearProgram,
+    MatrixFormat,
     ScipyHighsBackend,
     get_backend,
 )
@@ -143,6 +145,59 @@ class TestScipyHighsBackend:
         assert sol.x == pytest.approx([-1.0, 2.0], abs=1e-9)
 
 
+def flow_program(n, budget, sense="max"):
+    """A sweep-family flow LP, with the sense given."""
+    lp = build_minimax_lp(build_sunk_cost(sweep_point_game(n, budget, budget, 2.5)), "A").program
+    return lp if sense == "max" else dataclasses.replace(lp, sense="min",
+                                                         objective=-lp.objective)
+
+
+def large_program(sense="max"):
+    """A flow LP above the simplex size limit (676 columns)."""
+    lp = flow_program(3, 14, sense)
+    assert lp.num_vars >= SIMPLEX_BELOW_COLUMNS
+    return lp
+
+
+class TestHandOff:
+    """HiGHS must hold the column-wise matrix ``linprog`` would hand it: the
+    ``<=`` rows, then the equalities, as scipy's ``csc`` arrays."""
+
+    @pytest.mark.parametrize("num_eq, empty_rows", [
+        (0, ()), (3, ()), (7, ()),
+        (3, (2, 3)),  # an empty row on each side of the split
+        (4, (0, 6)),
+    ])
+    def test_held_matrix_is_linprogs(self, num_eq, empty_rows):
+        dense = np.random.default_rng(num_eq).integers(-3, 4, (7, 5)).astype(float)
+        dense[list(empty_rows)] = 0.0
+        lp = LinearProgram(sense="max", objective=np.zeros(5), a=sp.csr_matrix(dense),
+                           num_eq=num_eq, rhs=np.zeros(7), lower=np.zeros(5),
+                           upper=np.ones(5))
+        backend = ScipyHighsBackend()
+        assert backend.solve(lp).status == OPTIMAL
+        held = backend._highs.getLp().a_matrix_
+        expected = sp.vstack((lp.a[num_eq:], lp.a[:num_eq])).tocsc()
+        assert held.format_ == MatrixFormat.kColwise
+        assert (held.num_row_, held.num_col_) == expected.shape
+        for got, want in ((held.start_, expected.indptr), (held.index_, expected.indices),
+                          (held.value_, expected.data)):
+            assert np.array_equal(np.asarray(got), want)
+
+
+class TestSizeRule:
+    def test_default_method_by_size(self):
+        # 96 columns: large enough that interior point would iterate
+        small = flow_program(2, 4)
+        assert small.num_vars < SIMPLEX_BELOW_COLUMNS
+        assert ScipyHighsBackend().solve(small).lp_solver == "simplex"
+        assert ScipyHighsBackend().solve(large_program()).lp_solver == "ipm"
+
+    def test_named_method_at_every_size(self):
+        # the rule belongs to the default; a chosen method runs as chosen
+        assert ScipyHighsBackend("highs-ds").solve(large_program()).lp_solver == "simplex"
+
+
 class TestRowDuals:
     @pytest.mark.parametrize("method", ["highs", "highs-ds", "highs-ipm"])
     def test_sign_follows_sense(self, method):
@@ -155,6 +210,14 @@ class TestRowDuals:
         assert sol.objective == pytest.approx(-3.0)
         assert sol.row_duals == pytest.approx([-1.0, 0.0], abs=1e-9)
         assert isinstance(sol.crossover_iterations, int)
+
+    def test_interior_point_above_the_size_limit(self):
+        # IPM plus crossover reads back as simplex does: >= 0 for a max LP
+        for sense, sign in (("max", 1.0), ("min", -1.0)):
+            sol = ScipyHighsBackend("highs-ipm").solve(large_program(sense))
+            assert sol.status == OPTIMAL and sol.lp_solver == "ipm"
+            assert np.all(sign * sol.row_duals >= -1e-9)
+            assert np.any(sign * sol.row_duals > 1e-6)
 
     def test_not_optimal_has_no_duals(self):
         infeasible = dataclasses.replace(small_lp(), rhs=np.array([-1.0, 2.0]))
@@ -186,6 +249,16 @@ class TestReducedCosts:
         sol = ScipyHighsBackend(method).solve(lp)
         assert sol.x == pytest.approx([1.0, 2.0, 0.0], abs=1e-9)
         assert sol.reduced_costs == pytest.approx([0.0, 0.0, -2.0], abs=1e-9)
+
+    def test_interior_point_above_the_size_limit(self):
+        # <= 0 for a max LP, and 0 off the lower bound
+        for sense, sign in (("max", -1.0), ("min", 1.0)):
+            lp = large_program(sense)
+            sol = ScipyHighsBackend("highs-ipm").solve(lp)
+            assert sol.status == OPTIMAL and sol.lp_solver == "ipm"
+            assert np.all(sign * sol.reduced_costs >= -1e-9)
+            assert np.any(sign * sol.reduced_costs > 1e-6)
+            assert np.all(sol.reduced_costs[sol.x > lp.lower + 1e-9] == 0.0)
 
     def test_equal_to_a_scan_of_the_basis(self):
         # the reduced costs of a stage-one solve and of a face solve on the
