@@ -17,11 +17,11 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .game import CostBlottoGame, MixedStrategy, check_full_assignment
 from .reduction import SunkCostGame, build_sunk_cost, oriented_valuations
-from .solver import OPTIMAL, BackendSolution, LinearProgram, SolverFailureError, get_backend
+from .solver import (OPTIMAL, BackendSolution, CsrMatrix, LinearProgram, SolverFailureError,
+                     get_backend)
 
 #: Flow conservation / feasibility tolerance.
 FEAS_EPS = 1e-7
@@ -266,10 +266,9 @@ def build_minimax_lp(sunk: SunkCostGame, perspective: str = "A") -> MinimaxLP:
     add([num_rows - 1], [col_t], [1.0])
     add([num_rows - 1], [col_pi + go.sink], [-1.0])
 
-    a = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(num_rows, num_vars),
-    ).tocsr()
+    # zero table cells (a sign valuation's ties among them) are not stored
+    a = CsrMatrix.from_triplets((num_rows, num_vars), np.concatenate(rows),
+                                np.concatenate(cols), np.concatenate(vals))
 
     rhs = np.zeros(num_rows)
     rhs[gs.source] = -1.0

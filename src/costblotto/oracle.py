@@ -16,7 +16,6 @@ from fractions import Fraction
 from operator import getitem
 
 import numpy as np
-import scipy.sparse as sp
 
 from .game import (
     CostBlottoGame,
@@ -26,7 +25,7 @@ from .game import (
     enumerate_strategies,
     own_costs,
 )
-from .solver import OPTIMAL, LinearProgram, ScipyHighsBackend
+from .solver import OPTIMAL, CsrMatrix, LinearProgram, ScipyHighsBackend
 
 
 class OracleSolveError(RuntimeError):
@@ -165,8 +164,8 @@ def _solve_float(payoffs) -> tuple[float, np.ndarray, np.ndarray]:
     shift = 1.0 - m.min()
     n_rows, n_cols = m.shape
     # every shifted entry is at least 1, so the CSR arrays hold them all, row by row
-    a = sp.csr_matrix(((m + shift).ravel(), np.tile(np.arange(n_cols), n_rows),
-                       np.arange(0, n_rows * n_cols + 1, n_cols)), shape=m.shape)
+    a = CsrMatrix(m.shape, np.arange(0, n_rows * n_cols + 1, n_cols),
+                  np.tile(np.arange(n_cols), n_rows), (m + shift).ravel())
     # HiGHS's own method choice, whatever method the flow LPs are set to use
     sol = ScipyHighsBackend("highs").solve(LinearProgram(
         sense="max", objective=np.ones(n_cols), a=a, num_eq=0,

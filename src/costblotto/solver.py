@@ -1,7 +1,11 @@
 """HiGHS linear-programming backend behind a minimal model type.
 
-A backend hands each LP to one HiGHS model through scipy's binding of HiGHS's
-own ``Highs`` class: the LP's CSR arrays go to HiGHS row-wise as they are,
+The package loads scipy's compiled binding of HiGHS's own ``Highs`` class
+(``scipy.optimize._highspy._core``) straight from its file, without importing
+``scipy.optimize`` or ``scipy.sparse``, whose package imports would take most
+of the package's start-up.  An LP's constraint matrix is a :class:`CsrMatrix`
+(or any object with its fields, such as a scipy CSR matrix).  A backend hands
+each LP to one HiGHS model: the CSR arrays go to HiGHS row-wise as they are,
 with the ``<=`` rows moved ahead of the equalities by offsetting the row
 starts, and HiGHS stores the same column-wise model that
 ``scipy.optimize.linprog`` would build, under ``linprog``'s options.  The
@@ -9,26 +13,63 @@ default method is HiGHS's interior-point solver with its default crossover,
 so solutions stay basic (vertex solutions), except that an LP with fewer than
 :data:`SIMPLEX_BELOW_COLUMNS` (600) columns is solved by dual simplex, which
 also ends at a basis: in a ladder of flow LPs, simplex won every game of up
-to 534 columns and interior point most games of 794-841 columns.  The ``COSTBLOTTO_LP_BACKEND`` environment variable selects
-another HiGHS method, which then runs at every size.  The backend keeps the
-model of the last LP it built.  An LP over that same matrix object is solved
-by changing the model's costs and bounds in place and re-running primal
-simplex from the basis the model holds.
+to 534 columns and interior point most games of 794-841 columns.  The
+``COSTBLOTTO_LP_BACKEND`` environment variable selects another HiGHS method,
+which then runs at every size.  The backend keeps the model of the last LP it
+built.  An LP over that same matrix object is solved by changing the model's
+costs and bounds in place and re-running primal simplex from the basis the
+model holds.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import os
+import sys
 from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
-import scipy.sparse as sp
+
+#: The module name of scipy's binding of HiGHS's own ``Highs`` class.
+_BINDING = "scipy.optimize._highspy._core"
+
+
+def _load_binding():
+    """scipy's HiGHS binding, loaded from its file in scipy's install.
+
+    Importing it by name would import ``scipy.optimize`` first.  It is
+    registered under its own name, so that an ``import scipy.optimize``
+    before or after shares this one module: a second copy would register
+    the binding's types twice, which fails."""
+    if _BINDING in sys.modules:
+        return sys.modules[_BINDING]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError("scipy is not installed")
+    folders = [os.path.join(path, "optimize", "_highspy")
+               for path in scipy.submodule_search_locations]
+    found = importlib.machinery.PathFinder.find_spec("_core", folders)
+    if found is None or found.origin is None:
+        raise ImportError(f"no HiGHS binding file in {folders}")
+    spec = importlib.util.spec_from_file_location(_BINDING, found.origin)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_BINDING] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_BINDING]
+        raise
+    return module
+
 
 try:
-    from scipy.optimize._highspy._core import (
-        HighsBasisStatus, HighsLp, HighsModelStatus, MatrixFormat, _Highs)
-except ImportError as exc:
+    _core = _load_binding()
+    HighsBasisStatus, HighsLp, HighsModelStatus, MatrixFormat, _Highs = (
+        _core.HighsBasisStatus, _core.HighsLp, _core.HighsModelStatus,
+        _core.MatrixFormat, _core._Highs)
+except (ImportError, AttributeError) as exc:
     raise ImportError("costblotto needs scipy>=1.17.1, whose binding of HiGHS's own "
                       "Highs class (scipy.optimize._highspy._core._Highs) it uses") from exc
 
@@ -58,6 +99,34 @@ class SolverFailureError(RuntimeError):
     """A backend failed to return a usable optimum."""
 
 
+@dataclass(frozen=True, eq=False)
+class CsrMatrix:
+    """A sparse matrix in compressed sparse row form, as scipy stores one:
+    row ``r`` holds ``data[indptr[r]:indptr[r + 1]]`` in the columns
+    ``indices[indptr[r]:indptr[r + 1]]``."""
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @classmethod
+    def from_triplets(cls, shape: tuple[int, int], row: np.ndarray, col: np.ndarray,
+                      value: np.ndarray) -> "CsrMatrix":
+        """The matrix of entries ``value[k]`` at ``(row[k], col[k])``, with
+        zero entries dropped and each row's columns in ascending order, as in
+        scipy's canonical form.  Positions must not repeat."""
+        keep = value != 0.0
+        row, col, value = row[keep], col[keep], value[keep]
+        order = np.lexsort((col, row))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=shape[0]))))
+        return cls(shape, indptr, col[order], value[order])
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     """A sparse LP: optimize ``objective @ x`` under row and bound constraints.
@@ -65,11 +134,12 @@ class LinearProgram:
     The first ``num_eq`` rows of ``a`` are equalities ``a x = rhs``; the rest
     are ``a x <= rhs``, except that those ``tight`` marks (a mask over the
     ``<=`` rows) must hold with equality.  Variable bounds may be infinite.
+    ``a`` is a :class:`CsrMatrix` or any object with its fields.
     """
 
     sense: str
     objective: np.ndarray
-    a: sp.csr_matrix
+    a: CsrMatrix
     num_eq: int
     rhs: np.ndarray
     lower: np.ndarray
@@ -105,7 +175,8 @@ class BackendSolution:
     ``max`` LP); ``reduced_costs`` holds, per column, the rate at which it
     grows with the column's lower bound (so <= 0 for a ``max`` LP, and 0 for
     a column off its lower bound).  Both are set for optimal solutions only.
-    ``lp_solver`` names the HiGHS solver that ran: ``"ipm"`` or ``"simplex"``."""
+    ``lp_solver`` names the HiGHS solver, ``"ipm"`` or ``"simplex"``, as
+    :class:`HighsRun` reads it."""
 
     status: str
     x: np.ndarray | None
@@ -127,7 +198,9 @@ _LINPROG_STATUS = {HighsModelStatus.kOptimal: 0, HighsModelStatus.kInfeasible: 2
 class HighsRun:
     """One HiGHS run in ``linprog``'s terms: ``status`` is its code (0 is
     optimal), ``nit`` its iteration count and ``fun`` its objective.
-    ``lp_solver`` is ``"ipm"`` if interior point iterated, else ``"simplex"``."""
+    ``lp_solver`` is the model's ``solver`` option, ``"simplex"`` or ``"ipm"``;
+    under ``"choose"`` it is ``"ipm"`` if interior point iterated, else
+    ``"simplex"``."""
 
     status: int
     message: str
@@ -142,12 +215,15 @@ def linprog(highs: _Highs) -> HighsRun:
     """Run HiGHS on the model ``highs`` holds.  Every solve goes through here."""
     highs.run()
     status, info = highs.getModelStatus(), highs.getInfo()
+    solver = highs.getOptionValue("solver")[1]
+    if solver == "choose":
+        solver = "ipm" if info.ipm_iteration_count > 0 else "simplex"
     return HighsRun(status=_LINPROG_STATUS.get(status, 4),
                     message=highs.modelStatusToString(status),
                     nit=info.simplex_iteration_count or info.ipm_iteration_count,
                     crossover_nit=info.crossover_iteration_count,
                     fun=info.objective_function_value,
-                    lp_solver="ipm" if info.ipm_iteration_count > 0 else "simplex")
+                    lp_solver=solver)
 
 
 class ScipyHighsBackend:
@@ -173,8 +249,8 @@ class ScipyHighsBackend:
     def _build(self, lp: LinearProgram, cost: np.ndarray, rows) -> None:
         """Hand HiGHS a new model: ``lp.a``'s CSR arrays as they are, row-wise,
         with the ``<=`` rows moved ahead of the equalities by offsetting the
-        row starts.  HiGHS stores it column-wise, as the ``csc`` matrix of
-        ``sp.vstack((a[k:], a[:k]))`` that ``linprog`` would hand it.  Under
+        row starts.  HiGHS stores it column-wise, as the ``csc`` matrix of scipy's
+        ``vstack((a[k:], a[:k]))`` that ``linprog`` would hand it.  Under
         the default method, an LP of fewer than :data:`SIMPLEX_BELOW_COLUMNS`
         (600, set from the ladder noted there) columns is solved by simplex."""
         k, ptr = lp.num_eq, lp.a.indptr

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from costblotto import (
     CostBlottoGame,
@@ -29,9 +30,9 @@ from costblotto import (
     unmap_strategy,
 )
 from costblotto.cli import classify_hypothesis_case
-from costblotto.config import sweep_point_game
+from costblotto.config import parse_game_config, sweep_point_game
 from costblotto.minimax import _optimal_face, _statistic_objective
-from costblotto.solver import get_backend
+from costblotto.solver import CsrMatrix, get_backend
 from costblotto.strategy import best_response_value
 from conftest import DECIMAL_INCREMENTS, example_one, random_game
 from scipy.optimize import linprog
@@ -162,6 +163,116 @@ class TestBuildMinimaxLp:
             assert np.array_equal(getattr(first.a, field), getattr(second.a, field))
         assert np.array_equal(first.rhs, second.rhs)
         assert first.num_eq == second.num_eq
+
+
+def _ladder_game(rng, setting, n, d_a, d_b):
+    """A solve-pair benchmark game: sign valuations of weight 1 or 2, with
+    linear obtainment costs or quadratic assignment costs."""
+    spec = {"n": n, "budget_A": d_a, "budget_B": d_b,
+            "valuations": [{"kind": "sign", "weight": rng.randint(1, 2)} for _ in range(n)]}
+    none = {"kind": "none"}
+    if setting == "linear":
+        spec.update(assign_costs_A=none, assign_costs_B=none,
+                    obtain_cost_A={"kind": "linear", "coeff": 0.05},
+                    obtain_cost_B={"kind": "linear", "coeff": 0.05})
+    else:
+        spec.update(assign_costs_A={"kind": "quadratic", "coeff": 0.01},
+                    assign_costs_B={"kind": "quadratic", "coeff": 0.01},
+                    obtain_cost_A=none, obtain_cost_B=none)
+    return parse_game_config(spec)
+
+
+#: (setting, n, D_A, D_B) of the solve-pair benchmark's ops.
+SOLVE_PAIR_LADDER = (("linear", 3, 40, 38), ("linear", 4, 30, 30), ("linear", 6, 20, 22),
+                     ("quadratic", 6, 30, 30), ("quadratic", 8, 20, 22),
+                     ("quadratic", 10, 20, 20))
+
+
+def _games(family):
+    """The games of one family, drawn alike on every call."""
+    if family == "sweep":
+        return [sweep_point_game(*point) for point in
+                ((2, 4, 4, 1), (3, 6, 5, 2.5), (4, 12, 10, 9.75), (4, 10, 12, 6))]
+    if family.startswith("solve-pair-ladder"):
+        rng = random.Random(7)
+        ops = SOLVE_PAIR_LADDER if family == "solve-pair-ladder" else (
+            ("linear", 2, 4, 3), ("quadratic", 3, 3, 3), ("linear", 3, 12, 10),
+            ("quadratic", 4, 9, 8))
+        return [_ladder_game(rng, *op) for op in ops]
+    # acceptance criterion 3's draws, with dyadic or decimal cost steps
+    rng = random.Random(3)
+    increments = DECIMAL_INCREMENTS if family == "criterion-3-decimal" else None
+    return [random_game(rng, n_max=3, d_max=5, increments=increments) for _ in range(20)]
+
+
+class TestAssembledMatrix:
+    """The constraint matrix is the CSR matrix scipy builds from the same
+    triplets with its zeros eliminated, and HiGHS holds the column-wise
+    matrix ``linprog`` would build from it."""
+
+    @staticmethod
+    def _assemble(monkeypatch, game, perspective):
+        """The minimax LP and scipy's CSR matrix of the triplets it compressed."""
+        seen = []
+        compress = CsrMatrix.from_triplets
+
+        def spy(shape, row, col, value):
+            seen.append(sp.coo_matrix((value, (row, col)), shape=shape).tocsr())
+            return compress(shape, row, col, value)
+
+        monkeypatch.setattr(CsrMatrix, "from_triplets", spy)
+        model = build_minimax_lp(build_sunk_cost(game), perspective)
+        monkeypatch.undo()
+        (ref,) = seen
+        ref.eliminate_zeros()
+        return model.program, ref
+
+    @pytest.mark.parametrize("family", ["sweep", "solve-pair-ladder", "criterion-3",
+                                        "criterion-3-decimal"])
+    def test_csr_arrays_are_scipys(self, monkeypatch, family):
+        for game in _games(family):
+            for perspective in "AB":
+                program, ref = self._assemble(monkeypatch, game, perspective)
+                assert program.a.shape == ref.shape and program.a.nnz == ref.nnz
+                for field in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(program.a, field), getattr(ref, field))
+
+    @pytest.mark.parametrize("family", ["sweep", "solve-pair-ladder-small", "criterion-3",
+                                        "criterion-3-decimal"])
+    def test_held_matrix_is_linprogs(self, monkeypatch, family):
+        for game in _games(family):
+            for perspective in "AB":
+                program, ref = self._assemble(monkeypatch, game, perspective)
+                backend = get_backend()
+                assert backend.solve(program).status == "optimal"
+                held = backend._highs.getLp().a_matrix_
+                # HiGHS drops entries at or below its small_matrix_value (1e-9)
+                # when the model is passed in: some payoff cells of decimal
+                # games are float residues of 1e-16 where the exact payoff is 0
+                _, small = backend._highs.getOptionValue("small_matrix_value")
+                ref.data[np.abs(ref.data) <= small] = 0.0
+                ref.eliminate_zeros()
+                k = program.num_eq
+                expected = sp.vstack((ref[k:], ref[:k])).tocsc()
+                assert (held.num_row_, held.num_col_) == expected.shape
+                for got, want in ((held.start_, expected.indptr),
+                                  (held.index_, expected.indices),
+                                  (held.value_, expected.data)):
+                    assert np.array_equal(np.asarray(got), want)
+
+    @pytest.mark.parametrize("family", ["sweep", "solve-pair-ladder", "criterion-3",
+                                        "criterion-3-decimal"])
+    def test_no_stored_coefficient_is_zero(self, family):
+        for game in _games(family):
+            for perspective in "AB":
+                a = build_minimax_lp(build_sunk_cost(game), perspective).program.a
+                assert a.nnz == len(a.data) and np.all(a.data != 0.0)
+
+    def test_sweep_lp_nonzeros(self):
+        # 34,647 triplets; the 205 zeros are the 41 cells a == b of each of
+        # the five battlefields' payoff tables, the unspent-resources one too
+        a = build_minimax_lp(build_sunk_cost(sweep_point_game(4, 40, 40, 9.75)), "A").program.a
+        assert a.shape == (4962, 4962) and a.nnz == 34442
 
 
 class TestSolve:

@@ -18,6 +18,7 @@ from costblotto.solver import (
     OPTIMAL,
     SIMPLEX_BELOW_COLUMNS,
     UNBOUNDED,
+    CsrMatrix,
     HighsBasisStatus,
     LinearProgram,
     MatrixFormat,
@@ -37,6 +38,22 @@ def small_lp(sense="max"):
         lower=np.zeros(2),
         upper=np.full(2, np.inf),
     )
+
+
+class TestCsrMatrix:
+    def test_from_triplets_is_scipys_canonical_csr(self):
+        # shuffled triplets with zeros, and empty rows at both ends
+        rng = np.random.default_rng(0)
+        dense = rng.integers(-2, 3, (8, 6)).astype(float)
+        dense[[0, 4, 7]] = 0.0
+        row, col = np.nonzero(np.ones_like(dense))
+        order = rng.permutation(len(row))
+        row, col = row[order], col[order]
+        a = CsrMatrix.from_triplets(dense.shape, row, col, dense[row, col])
+        ref = sp.csr_matrix(dense)
+        assert a.shape == ref.shape and a.nnz == ref.nnz == np.count_nonzero(dense)
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a, field), getattr(ref, field))
 
 
 class TestLinearProgram:
@@ -197,6 +214,21 @@ class TestSizeRule:
         # the rule belongs to the default; a chosen method runs as chosen
         assert ScipyHighsBackend("highs-ds").solve(large_program()).lp_solver == "simplex"
 
+    @pytest.mark.parametrize("method, label", [("highs-ipm", "ipm"), ("highs-ds", "simplex"),
+                                               ("highs", "simplex")])
+    def test_label_of_an_lp_presolve_solves(self, method, label):
+        # max sum(x) s.t. x <= 1 over 700 columns: presolve solves it outright,
+        # so no solver iterates; the label is the solver the model was set to
+        # run, and only HiGHS's own choice falls back to the iteration counts
+        n = 700
+        lp = LinearProgram(sense="max", objective=np.ones(n),
+                           a=CsrMatrix((n, n), np.arange(n + 1), np.arange(n), np.ones(n)),
+                           num_eq=0, rhs=np.ones(n), lower=np.zeros(n),
+                           upper=np.full(n, np.inf))
+        sol = ScipyHighsBackend(method).solve(lp)
+        assert sol.objective == pytest.approx(n) and sol.iterations == 0
+        assert sol.lp_solver == label
+
 
 class TestRowDuals:
     @pytest.mark.parametrize("method", ["highs", "highs-ds", "highs-ipm"])
@@ -342,5 +374,63 @@ def test_missing_binding_fails_at_import():
     src = Path(costblotto.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), check=False)
+    assert proc.returncode != 0
+    assert "ImportError: costblotto needs scipy>=1.17.1" in proc.stderr
+
+
+def run_python(code, *path):
+    """Run ``code`` in a fresh interpreter that imports costblotto from this
+    checkout, with the folders ``path`` ahead of it on the module path."""
+    src = Path(costblotto.__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join([*map(str, path), str(src)])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=pythonpath), check=False)
+
+
+def test_import_leaves_scipy_optimize_and_sparse_unloaded():
+    # the package loads scipy's HiGHS binding file and nothing else of scipy's
+    proc = run_python("import sys\n"
+                      "import costblotto.cli\n"
+                      "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+                      "assert 'scipy.optimize' not in sys.modules\n"
+                      "assert 'scipy.sparse' not in sys.modules\n")
+    assert proc.returncode == 0, proc.stderr
+    assert "'scipy.optimize._highspy._core'" in proc.stdout
+
+
+@pytest.mark.parametrize("order", ["scipy-first", "costblotto-first"])
+def test_scipy_optimize_shares_the_binding(order):
+    # either import order leaves one binding module, which both linprog and
+    # the backend use
+    first, second = "from scipy.optimize import linprog", "from costblotto import solver"
+    if order == "costblotto-first":
+        first, second = second, first
+    proc = run_python(f"{first}\n{second}\n"
+                      "import sys\n"
+                      "import numpy as np\n"
+                      "import scipy.optimize._highspy._core as core\n"
+                      "assert core is sys.modules['scipy.optimize._highspy._core']\n"
+                      "assert solver._Highs is core._Highs\n"
+                      "res = linprog([1, 2], A_ub=[[-1, -1]], b_ub=[-1], method='highs')\n"
+                      "assert res.status == 0 and abs(res.fun - 1) < 1e-12, res\n"
+                      "lp = solver.LinearProgram(sense='min', objective=np.array([1.0, 2.0]),\n"
+                      "    a=solver.CsrMatrix((1, 2), np.array([0, 2]), np.array([0, 1]),\n"
+                      "                       np.array([-1.0, -1.0])), num_eq=0,\n"
+                      "    rhs=np.array([-1.0]), lower=np.zeros(2), upper=np.full(2, np.inf))\n"
+                      "assert abs(solver.get_backend().solve(lp).objective - 1) < 1e-12\n")
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("case", ["no-binding-file", "no-scipy"])
+def test_missing_binding_file_fails_at_import(tmp_path, case):
+    if case == "no-binding-file":
+        # a scipy install without optimize/_highspy/_core*.so
+        (tmp_path / "scipy").mkdir()
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        proc = run_python("import costblotto.solver\n", tmp_path)
+    else:
+        proc = run_python("import sys\n"
+                          "sys.modules['scipy'] = None\n"
+                          "import costblotto.solver\n")
     assert proc.returncode != 0
     assert "ImportError: costblotto needs scipy>=1.17.1" in proc.stderr
