@@ -131,7 +131,7 @@ def cmd_bounds(config: str, statistic: str, out: str) -> dict:
     base, bounds = equilibrium_statistic_bounds(
         game, {statistic: _STATISTICS[statistic](game)})
     xi_b = _unmapped(decompose_flow(base.opponent_flow), game.budget_b)
-    fixed, tight = face_masks(base.solution)
+    fixed, tight = face_masks(base)
     payload = {"statistic": statistic, "player": "A", "value": base.value,
                "face": {"fixed_columns": int(fixed.sum()), "tight_rows": int(tight.sum())}}
     for direction in ("min", "max"):

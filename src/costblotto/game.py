@@ -311,13 +311,6 @@ class MixedStrategy:
         if abs(total - 1) > PROB_EPS:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
 
-    @classmethod
-    def point_mass(cls, s: Iterable[int]) -> "MixedStrategy":
-        return cls(support=((tuple(s), 1),))
-
-    def strategies(self) -> list[PureStrategy]:
-        return [s for s, _ in self.support]
-
 
 def mix_strategies(xi_1: MixedStrategy, xi_2: MixedStrategy,
                    weight: Number = Fraction(1, 2)) -> MixedStrategy:

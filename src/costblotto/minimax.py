@@ -14,11 +14,11 @@ linear in the battlefield count, instead of the exponential strategy space.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .game import CostBlottoGame, MixedStrategy, check_full_assignment
+from .game import CostBlottoGame
 from .reduction import SunkCostGame, build_sunk_cost, oriented_valuations
 from .solver import (OPTIMAL, BackendSolution, CsrMatrix, LinearProgram, SolverFailureError,
                      get_backend)
@@ -80,9 +80,8 @@ class LayeredGraph:
         return self.num_nodes - 1
 
     def edge_index(self, field: int, tail: int, assign: int) -> int:
-        if not (1 <= field <= self.n_hat and 0 <= tail and 0 <= assign
-                and tail + assign <= self.budget):
-            raise ValueError(f"no edge ({field}, {tail}, {assign}) in this graph")
+        """The edge ``(field - 1, tail) -> (field, tail + assign)``, which
+        must exist: ``1 <= field <= n_hat`` and ``tail + assign <= budget``."""
         return (field - 1) * self.edges_per_layer + int(self._offsets[tail]) + assign
 
     def tail_nodes(self) -> np.ndarray:
@@ -90,16 +89,6 @@ class LayeredGraph:
 
     def head_nodes(self) -> np.ndarray:
         return self.edge_field * (self.budget + 1) + self.edge_tail + self.edge_assign
-
-    def path_edges(self, assignment: Iterable[int]) -> list[int]:
-        """Edge indices of the source-to-sink path of one full assignment."""
-        assignment = check_full_assignment(assignment, self.budget, self.n_hat)
-        cumulative = 0
-        path = []
-        for field, a in enumerate(assignment, start=1):
-            path.append(self.edge_index(field, cumulative, a))
-            cumulative += a
-        return path
 
     def __eq__(self, other):
         return (isinstance(other, LayeredGraph)
@@ -140,15 +129,6 @@ class StrategyFlow:
                 f"flow conservation violated by {worst} (tolerance {FEAS_EPS})"
             )
 
-    @classmethod
-    def from_mixed(cls, graph: LayeredGraph, xi: MixedStrategy) -> "StrategyFlow":
-        """The flow that routes each support assignment along its path."""
-        flow = np.zeros(graph.num_edges)
-        for s, p in xi.support:
-            for e in graph.path_edges(s):
-                flow[e] += p
-        return cls(graph=graph, edge_flow=flow)
-
     def node_imbalance(self) -> np.ndarray:
         """Inflow minus outflow per node, net of the unit supply/demand."""
         balance = np.zeros(self.graph.num_nodes)
@@ -167,9 +147,11 @@ class MinimaxLP:
     per-battlefield marginals (one per assignment level), the opponent's
     expected per-assignment battlefield payoffs, the opponent's node
     potentials, and the value variable.  The marginal and expected-payoff
-    variables are definitional; they keep every constraint row short.  The
-    ``<=`` rows are one opponent-potential row per opponent edge, whose duals
-    form the opponent's equilibrium flow, then the value row.
+    variables are definitional; they keep every constraint row short.  Rows
+    are, in order, the ``<=`` rows (``row_lower`` is ``-inf``): one
+    opponent-potential row per opponent edge, whose duals form the opponent's
+    equilibrium flow, then the value row; then the equalities: flow
+    conservation per node, the marginals and the expected payoffs.
     """
 
     program: LinearProgram
@@ -193,8 +175,8 @@ class SolveResult:
     """A checked optimum in flow form; ``status`` is always ``OPTIMAL``.
     ``opponent_flow``, the opponent's equilibrium flow read from the row
     duals, is set by minimax solves only, not by optimal-face witnesses.
-    ``solution`` is the backend's answer: its iteration counts and the duals
-    that define the optimal face."""
+    ``solution`` is the backend's answer: its iteration counts and the row
+    duals and reduced costs that define the optimal face."""
 
     status: str
     value: float
@@ -230,8 +212,10 @@ def build_minimax_lp(sunk: SunkCostGame, perspective: str = "A") -> MinimaxLP:
     col_pi = col_q + n_pay
     col_t = col_pi + v_o
     num_vars = col_t + 1
-    num_eq = v_s + n_marg + n_pay
-    num_rows = num_eq + e_o + 1
+    row_node = e_o + 1  # the equalities follow the e_o + 1 <= rows
+    row_marg = row_node + v_s
+    row_pay = row_marg + n_marg
+    num_rows = row_pay + n_pay
 
     rows, cols, vals = [], [], []
 
@@ -242,37 +226,39 @@ def build_minimax_lp(sunk: SunkCostGame, perspective: str = "A") -> MinimaxLP:
 
     # unit-flow conservation at every node of the perspective player's graph
     edge_ids = np.arange(e_s)
-    add(gs.head_nodes(), edge_ids, np.ones(e_s))
-    add(gs.tail_nodes(), edge_ids, -np.ones(e_s))
+    add(row_node + gs.head_nodes(), edge_ids, np.ones(e_s))
+    add(row_node + gs.tail_nodes(), edge_ids, -np.ones(e_s))
     # marginals: h[i, a] equals the total flow on layer i's assignment-a edges
-    marg_of_edge = v_s + (gs.edge_field - 1) * (d_self + 1) + gs.edge_assign
+    marg_of_edge = row_marg + (gs.edge_field - 1) * (d_self + 1) + gs.edge_assign
     add(marg_of_edge, edge_ids, -np.ones(e_s))
-    add(v_s + np.arange(n_marg), col_h + np.arange(n_marg), np.ones(n_marg))
+    add(row_marg + np.arange(n_marg), col_h + np.arange(n_marg), np.ones(n_marg))
     # expected payoffs: q[i, b] equals sum_a w[i, a, b] * h[i, a]
-    add(v_s + n_marg + np.arange(n_pay), col_q + np.arange(n_pay), np.ones(n_pay))
+    add(row_pay + np.arange(n_pay), col_q + np.arange(n_pay), np.ones(n_pay))
     i_idx = np.repeat(np.arange(n_hat), (d_opp + 1) * (d_self + 1))
     b_idx = np.tile(np.repeat(np.arange(d_opp + 1), d_self + 1), n_hat)
     a_idx = np.tile(np.arange(d_self + 1), n_hat * (d_opp + 1))
-    add(v_s + n_marg + i_idx * (d_opp + 1) + b_idx,
+    add(row_pay + i_idx * (d_opp + 1) + b_idx,
         col_h + i_idx * (d_self + 1) + a_idx,
         -w[i_idx, a_idx, b_idx])
     # opponent potentials: pi[head] <= pi[tail] + q[i, b] along every edge
-    opp_rows = num_eq + np.arange(e_o)
+    opp_rows = np.arange(e_o)
     add(opp_rows, col_pi + go.head_nodes(), np.ones(e_o))
     add(opp_rows, col_pi + go.tail_nodes(), -np.ones(e_o))
     add(opp_rows, col_q + (go.edge_field - 1) * (d_opp + 1) + go.edge_assign,
         -np.ones(e_o))
     # the value never exceeds the opponent's sink potential
-    add([num_rows - 1], [col_t], [1.0])
-    add([num_rows - 1], [col_pi + go.sink], [-1.0])
+    add([e_o], [col_t], [1.0])
+    add([e_o], [col_pi + go.sink], [-1.0])
 
     # zero table cells (a sign valuation's ties among them) are not stored
     a = CsrMatrix.from_triplets((num_rows, num_vars), np.concatenate(rows),
                                 np.concatenate(cols), np.concatenate(vals))
 
-    rhs = np.zeros(num_rows)
-    rhs[gs.source] = -1.0
-    rhs[gs.sink] = 1.0
+    row_upper = np.zeros(num_rows)
+    row_upper[row_node + gs.source] = -1.0
+    row_upper[row_node + gs.sink] = 1.0
+    row_lower = row_upper.copy()
+    row_lower[:row_node] = -np.inf
 
     lower = np.zeros(num_vars)
     upper = np.full(num_vars, np.inf)
@@ -282,8 +268,8 @@ def build_minimax_lp(sunk: SunkCostGame, perspective: str = "A") -> MinimaxLP:
     objective = np.zeros(num_vars)
     objective[col_t] = 1.0
 
-    program = LinearProgram(sense="max", objective=objective, a=a,
-                            num_eq=num_eq, rhs=rhs, lower=lower, upper=upper)
+    program = LinearProgram(sense="max", objective=objective, a=a, row_lower=row_lower,
+                            row_upper=row_upper, lower=lower, upper=upper)
     return MinimaxLP(
         program=program,
         graph_self=gs,
@@ -303,7 +289,7 @@ def _result_from_solution(model: MinimaxLP, sol: BackendSolution, what: str,
     flow = opponent_flow = None
     try:
         flow = StrategyFlow(model.graph_self, sol.x[model.flow_slice])
-        if not witness:  # the opponent-potential rows lead the <= rows
+        if not witness:  # the opponent-potential rows lead
             opponent_flow = StrategyFlow(
                 model.graph_opp, sol.row_duals[:model.graph_opp.num_edges])
     except InvalidFlowError as exc:
@@ -332,28 +318,34 @@ def _statistic_objective(model: MinimaxLP, statistic) -> np.ndarray:
     return objective
 
 
-def face_masks(sol: BackendSolution) -> tuple[np.ndarray, np.ndarray]:
+def face_masks(result: SolveResult) -> tuple[np.ndarray, np.ndarray]:
     """Columns with a nonzero reduced cost and ``<=`` rows with a nonzero
-    dual in an optimal solution, both beyond ``FLOW_DUST``."""
+    dual in a minimax optimum, both beyond ``FLOW_DUST``.  The ``<=`` rows
+    lead: one per opponent edge, then the value row."""
+    sol = result.solution
     return (np.abs(sol.reduced_costs) > FLOW_DUST,
-            np.abs(sol.row_duals) > FLOW_DUST)
+            np.abs(sol.row_duals[:result.opponent_flow.graph.num_edges + 1]) > FLOW_DUST)
 
 
-def _optimal_face(model: MinimaxLP, sol: BackendSolution) -> LinearProgram:
+def _optimal_face(model: MinimaxLP, result: SolveResult) -> LinearProgram:
     """The LP of ``model`` restricted to the optimal face of its solution.
 
-    By complementary slackness with the optimal dual in ``sol``, a feasible
+    By complementary slackness with the optimal dual of ``result``, a feasible
     point is optimal exactly when every column with a nonzero reduced cost
     sits on its lower bound (A's flow edges on no best response to B's dual
     equilibrium) and every ``<=`` row with a nonzero dual (B's dual-flow
-    support and the value row) is tight: fix the former, mark the latter
-    tight.  The face keeps the stage-one matrix, so a backend that holds the
-    stage-one model re-solves it from the stage-one basis."""
+    support and the value row) is tight: fix the former, and raise the
+    latter's ``row_lower`` to its ``row_upper``.  The face keeps the stage-one
+    matrix, so a backend that holds the stage-one model re-solves it from the
+    stage-one basis."""
     base = model.program
-    fixed, tight = face_masks(sol)
+    fixed, tight = face_masks(result)
     upper = base.upper.copy()
     upper[fixed] = base.lower[fixed]
-    return replace(base, upper=upper, tight=tight)
+    rows = np.flatnonzero(tight)
+    row_lower = base.row_lower.copy()
+    row_lower[rows] = base.row_upper[rows]
+    return replace(base, upper=upper, row_lower=row_lower)
 
 
 def equilibrium_statistic_bounds(
@@ -374,7 +366,7 @@ def equilibrium_statistic_bounds(
     backend = get_backend()
     model = build_minimax_lp(build_sunk_cost(game), "A")
     base = solve(model, backend)
-    face = _optimal_face(model, base.solution)
+    face = _optimal_face(model, base)
     objectives = {name: _statistic_objective(model, statistic)
                   for name, statistic in statistics.items()}
     out: dict[str, dict[str, tuple[float, SolveResult]]] = {name: {} for name in objectives}

@@ -168,8 +168,8 @@ def _solve_float(payoffs) -> tuple[float, np.ndarray, np.ndarray]:
                   np.tile(np.arange(n_cols), n_rows), (m + shift).ravel())
     # HiGHS's own method choice, whatever method the flow LPs are set to use
     sol = ScipyHighsBackend("highs").solve(LinearProgram(
-        sense="max", objective=np.ones(n_cols), a=a, num_eq=0,
-        rhs=np.ones(n_rows), lower=np.zeros(n_cols), upper=np.full(n_cols, np.inf)))
+        sense="max", objective=np.ones(n_cols), a=a, row_lower=np.full(n_rows, -np.inf),
+        row_upper=np.ones(n_rows), lower=np.zeros(n_cols), upper=np.full(n_cols, np.inf)))
     if sol.status != OPTIMAL:
         raise OracleSolveError(f"matrix game solve failed: {sol.message}")
     value = 1.0 / sol.objective - shift

@@ -3,22 +3,20 @@
 The package loads scipy's compiled binding of HiGHS's own ``Highs`` class
 (``scipy.optimize._highspy._core``) straight from its file, without importing
 ``scipy.optimize`` or ``scipy.sparse``, whose package imports would take most
-of the package's start-up.  An LP's constraint matrix is a :class:`CsrMatrix`
-(or any object with its fields, such as a scipy CSR matrix).  A backend hands
-each LP to one HiGHS model: the CSR arrays go to HiGHS row-wise as they are,
-with the ``<=`` rows moved ahead of the equalities by offsetting the row
-starts, and HiGHS stores the same column-wise model that
-``scipy.optimize.linprog`` would build, under ``linprog``'s options.  The
-default method is HiGHS's interior-point solver with its default crossover,
-so solutions stay basic (vertex solutions), except that an LP with fewer than
-:data:`SIMPLEX_BELOW_COLUMNS` (600) columns is solved by dual simplex, which
-also ends at a basis: in a ladder of flow LPs, simplex won every game of up
-to 534 columns and interior point most games of 794-841 columns.  The
-``COSTBLOTTO_LP_BACKEND`` environment variable selects another HiGHS method,
-which then runs at every size.  The backend keeps the model of the last LP it
-built.  An LP over that same matrix object is solved by changing the model's
-costs and bounds in place and re-running primal simplex from the basis the
-model holds.
+of the package's start-up.  A :class:`LinearProgram` is HiGHS's own model:
+row bounds ``row_lower <= A x <= row_upper`` over a :class:`CsrMatrix` (or
+any object with its fields, such as a scipy CSR matrix), and column bounds.
+A backend hands each LP to one HiGHS model, the CSR arrays row-wise as they
+are.  The default method is HiGHS's interior-point solver with its default
+crossover, so solutions stay basic (vertex solutions), except that an LP with
+fewer than :data:`SIMPLEX_BELOW_COLUMNS` (600) columns is solved by dual
+simplex, which also ends at a basis: in a ladder of flow LPs, simplex won
+every game of up to 534 columns and interior point most games of 794-841
+columns.  The ``COSTBLOTTO_LP_BACKEND`` environment variable selects another
+HiGHS method, which then runs at every size.  The backend keeps the model of
+the last LP it built.  An LP over that same matrix object is solved by
+changing the model's costs and bounds in place and re-running primal simplex
+from the basis the model holds.
 """
 
 from __future__ import annotations
@@ -129,22 +127,20 @@ class CsrMatrix:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """A sparse LP: optimize ``objective @ x`` under row and bound constraints.
+    """A sparse LP in HiGHS's form: optimize ``objective @ x`` subject to
+    ``row_lower <= a x <= row_upper`` and ``lower <= x <= upper``.
 
-    The first ``num_eq`` rows of ``a`` are equalities ``a x = rhs``; the rest
-    are ``a x <= rhs``, except that those ``tight`` marks (a mask over the
-    ``<=`` rows) must hold with equality.  Variable bounds may be infinite.
-    ``a`` is a :class:`CsrMatrix` or any object with its fields.
+    A row whose two bounds are equal is an equality; any bound may be
+    infinite.  ``a`` is a :class:`CsrMatrix` or any object with its fields.
     """
 
     sense: str
     objective: np.ndarray
     a: CsrMatrix
-    num_eq: int
-    rhs: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    tight: np.ndarray | None = None
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
@@ -152,12 +148,8 @@ class LinearProgram:
         n_rows, n_cols = self.a.shape
         if len(self.objective) != n_cols or len(self.lower) != n_cols or len(self.upper) != n_cols:
             raise ValueError("objective/bounds length does not match the column count")
-        if len(self.rhs) != n_rows:
-            raise ValueError("rhs length does not match the row count")
-        if not 0 <= self.num_eq <= n_rows:
-            raise ValueError(f"num_eq must lie in [0, {n_rows}], got {self.num_eq}")
-        if self.tight is not None and len(self.tight) != n_rows - self.num_eq:
-            raise ValueError("tight length does not match the <= row count")
+        if len(self.row_lower) != n_rows or len(self.row_upper) != n_rows:
+            raise ValueError("row bounds length does not match the row count")
 
     @property
     def num_vars(self) -> int:
@@ -170,11 +162,12 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class BackendSolution:
-    """A backend's answer.  ``row_duals`` holds, per ``<=`` row, the rate at
-    which the optimum grows with that row's right-hand side (so >= 0 for a
-    ``max`` LP); ``reduced_costs`` holds, per column, the rate at which it
-    grows with the column's lower bound (so <= 0 for a ``max`` LP, and 0 for
-    a column off its lower bound).  Both are set for optimal solutions only.
+    """A backend's answer.  ``row_duals`` holds, per row, the rate at which
+    the optimum grows as that row's bounds rise (so >= 0 on a row held at its
+    ``row_upper`` in a ``max`` LP); ``reduced_costs`` holds, per column, the
+    rate at which it grows with the column's lower bound (so <= 0 for a
+    ``max`` LP, and 0 for a column off its lower bound).  Both are set for
+    optimal solutions only.
     ``lp_solver`` names the HiGHS solver, ``"ipm"`` or ``"simplex"``, as
     :class:`HighsRun` reads it."""
 
@@ -229,43 +222,35 @@ def linprog(highs: _Highs) -> HighsRun:
 class ScipyHighsBackend:
     """HiGHS, by one of its methods, on one held model at a time.
 
-    A model holds the matrix and options ``linprog`` would give HiGHS, so a
-    cold solve by the same HiGHS solver gives ``linprog``'s answer bit for
-    bit; under the default method, LPs with fewer than
+    Under the default method, LPs with fewer than
     :data:`SIMPLEX_BELOW_COLUMNS` columns get simplex, not interior point.
-    An LP whose matrix ``a`` is the held model's (the same object) only
-    changes the model's costs and bounds and re-solves by primal simplex
-    from the held basis.  Feasibility tolerances are requested well below
-    the package-wide flow tolerance so returned solutions survive the
-    post-solve conservation checks.
+    An LP whose matrix ``a`` is the held LP's (the same object) only changes
+    the model's costs and bounds and re-solves by primal simplex from the
+    held basis.  Feasibility tolerances are requested well below the
+    package-wide flow tolerance so returned solutions survive the post-solve
+    conservation checks.
     """
 
     def __init__(self, method: str = DEFAULT_BACKEND):
         if method not in METHODS:
             raise ValueError(f"unknown LP backend {method!r}; available: {list(METHODS)}")
         self.method = method
-        self._matrix = self._highs = self._rows = None  # the held model, its rows' bounds
+        self._lp = self._highs = None  # the held LP and HiGHS's model of it
 
-    def _build(self, lp: LinearProgram, cost: np.ndarray, rows) -> None:
-        """Hand HiGHS a new model: ``lp.a``'s CSR arrays as they are, row-wise,
-        with the ``<=`` rows moved ahead of the equalities by offsetting the
-        row starts.  HiGHS stores it column-wise, as the ``csc`` matrix of scipy's
-        ``vstack((a[k:], a[:k]))`` that ``linprog`` would hand it.  Under
-        the default method, an LP of fewer than :data:`SIMPLEX_BELOW_COLUMNS`
-        (600, set from the ladder noted there) columns is solved by simplex."""
-        k, ptr = lp.num_eq, lp.a.indptr
-        split, nnz = ptr[k], ptr[-1]
+    def _build(self, lp: LinearProgram, cost: np.ndarray) -> None:
+        """Hand HiGHS a new model, with ``lp.a``'s CSR arrays as they are.
+        Under the default method, an LP of fewer than
+        :data:`SIMPLEX_BELOW_COLUMNS` (600, set from the ladder noted there)
+        columns is solved by simplex."""
         model = HighsLp()
         model.num_col_ = model.a_matrix_.num_col_ = lp.num_vars
         model.num_row_ = model.a_matrix_.num_row_ = lp.num_constraints
         model.a_matrix_.format_ = MatrixFormat.kRowwise
         model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = (
-            np.concatenate((ptr[k:] - split, ptr[1:k + 1] + (nnz - split))),
-            np.concatenate((lp.a.indices[split:nnz], lp.a.indices[:split])),
-            np.concatenate((lp.a.data[split:nnz], lp.a.data[:split])))
+            lp.a.indptr, lp.a.indices, lp.a.data)
         model.col_cost_, model.col_lower_, model.col_upper_ = cost, lp.lower, lp.upper
-        model.row_lower_, model.row_upper_ = rows
-        self._matrix, self._highs = lp.a, _Highs()
+        model.row_lower_, model.row_upper_ = lp.row_lower, lp.row_upper
+        self._highs = _Highs()
         solver = METHODS[self.method]
         if self.method == DEFAULT_BACKEND and lp.num_vars < SIMPLEX_BELOW_COLUMNS:
             solver = "simplex"
@@ -276,27 +261,25 @@ class ScipyHighsBackend:
             self._highs.setOptionValue(option, value)
         self._highs.passModel(model)
 
-    def _change(self, lp: LinearProgram, cost: np.ndarray, rows) -> None:
+    def _change(self, lp: LinearProgram, cost: np.ndarray) -> None:
         cols = np.arange(lp.num_vars)
         self._highs.changeColsCost(len(cols), cols, cost)
         self._highs.changeColsBounds(len(cols), cols, lp.lower, lp.upper)
-        (lower, upper), (held_lower, held_upper) = rows, self._rows
-        for row in np.flatnonzero((lower != held_lower) | (upper != held_upper)):
-            self._highs.changeRowBounds(row, lower[row], upper[row])
+        held = self._lp
+        moved = (lp.row_lower != held.row_lower) | (lp.row_upper != held.row_upper)
+        for row in np.flatnonzero(moved):
+            self._highs.changeRowBounds(row, lp.row_lower[row], lp.row_upper[row])
         self._highs.setOptionValue("solver", "simplex")
         self._highs.setOptionValue("simplex_strategy", 4)  # primal
 
     def solve(self, lp: LinearProgram) -> BackendSolution:
-        sign = 1.0 if lp.sense == "min" else -1.0  # the model minimizes, as linprog does
-        k, cost = lp.num_eq, sign * lp.objective
-        tight = np.zeros(lp.num_constraints - k, bool) if lp.tight is None else lp.tight
-        rows = (np.concatenate((np.where(tight, lp.rhs[k:], -np.inf), lp.rhs[:k])),
-                np.concatenate((lp.rhs[k:], lp.rhs[:k])))
-        if lp.a is self._matrix:
-            self._change(lp, cost, rows)
+        sign = 1.0 if lp.sense == "min" else -1.0  # the model minimizes
+        cost = sign * lp.objective
+        if self._lp is not None and lp.a is self._lp.a:
+            self._change(lp, cost)
         else:
-            self._build(lp, cost, rows)
-        self._rows = rows
+            self._build(lp, cost)
+        self._lp = lp
         run = linprog(self._highs)
         status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(run.status, NUMERIC_FAILURE)
         info = {"message": run.message, "iterations": run.nit,
@@ -308,7 +291,7 @@ class ScipyHighsBackend:
                                np.int8, lp.num_vars) == HighsBasisStatus.kLower.value
         return BackendSolution(
             status=OPTIMAL, x=np.array(solution.col_value), objective=float(sign * run.fun),
-            row_duals=sign * np.array(solution.row_dual)[:len(tight)],
+            row_duals=sign * np.array(solution.row_dual),
             reduced_costs=sign * np.where(at_lower, solution.col_dual, 0.0), **info)
 
 

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from costblotto import CostBlottoGame, CostFunction, Valuation
+from costblotto import (CostBlottoGame, CostFunction, LayeredGraph, MixedStrategy,
+                        StrategyFlow, Valuation)
+from costblotto.game import check_full_assignment
 
 
 def example_one() -> CostBlottoGame:
@@ -23,6 +26,34 @@ def example_one() -> CostBlottoGame:
 @pytest.fixture
 def example_game() -> CostBlottoGame:
     return example_one()
+
+
+def point_mass(s) -> MixedStrategy:
+    """The mixed strategy that plays ``s`` for sure."""
+    return MixedStrategy(support=((tuple(s), 1),))
+
+
+def strategies(xi: MixedStrategy) -> list[tuple[int, ...]]:
+    """The pure strategies of ``xi``'s support, in support order."""
+    return [s for s, _ in xi.support]
+
+
+def path_edges(graph: LayeredGraph, assignment) -> list[int]:
+    """Edge indices of the source-to-sink path of one full assignment."""
+    assignment = check_full_assignment(assignment, graph.budget, graph.n_hat)
+    cumulative, path = 0, []
+    for field, a in enumerate(assignment, start=1):
+        path.append(graph.edge_index(field, cumulative, a))
+        cumulative += a
+    return path
+
+
+def flow_from_mixed(graph: LayeredGraph, xi: MixedStrategy) -> StrategyFlow:
+    """The flow that routes each support assignment of ``xi`` along its path."""
+    flow = np.zeros(graph.num_edges)
+    for s, p in xi.support:
+        flow[path_edges(graph, s)] += p  # a path visits each layer once
+    return StrategyFlow(graph=graph, edge_flow=flow)
 
 
 #: Cost increments whose float sums are not dyadic, so that a change in the

@@ -20,7 +20,7 @@ from costblotto import (
     payoff_zero,
     swap_players,
 )
-from conftest import SIGN_WEIGHTS, decimal_step_game, example_one, random_game
+from conftest import SIGN_WEIGHTS, decimal_step_game, example_one, point_mass, random_game
 
 
 class TestCostFunction:
@@ -297,7 +297,8 @@ class TestEnumerate:
 
 class TestMixedStrategy:
     def test_point_mass(self):
-        xi = MixedStrategy.point_mass((1, 1))
+        # the support holds strategies as tuples, whatever sequence came in
+        xi = MixedStrategy(support=(([1, 1], 1),))
         assert xi.support == (((1, 1), 1),)
 
     def test_bad_sum_rejected(self):
@@ -313,8 +314,7 @@ class TestMixedStrategy:
             MixedStrategy(support=(((0, 0), 0.5), ((0, 0), 0.5)))
 
     def test_mix(self):
-        xi = mix_strategies(
-            MixedStrategy.point_mass((0, 0)), MixedStrategy.point_mass((1, 1)))
+        xi = mix_strategies(point_mass((0, 0)), point_mass((1, 1)))
         assert dict(xi.support) == {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)}
 
 

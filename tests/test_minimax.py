@@ -34,7 +34,8 @@ from costblotto.config import parse_game_config, sweep_point_game
 from costblotto.minimax import _optimal_face, _statistic_objective
 from costblotto.solver import CsrMatrix, get_backend
 from costblotto.strategy import best_response_value
-from conftest import DECIMAL_INCREMENTS, example_one, random_game
+from conftest import (DECIMAL_INCREMENTS, example_one, flow_from_mixed, path_edges, point_mass,
+                      random_game, strategies)
 from scipy.optimize import linprog
 
 S_STAR = {(0, 0), (0, 1), (1, 0), (1, 1)}
@@ -68,7 +69,7 @@ class TestLayeredGraph:
 
     def test_path_edges(self):
         graph = LayeredGraph(3, 2)
-        path = graph.path_edges((0, 1, 1))
+        path = path_edges(graph, (0, 1, 1))
         assert len(path) == 3
         assert [int(graph.edge_assign[e]) for e in path] == [0, 1, 1]
 
@@ -80,19 +81,19 @@ class TestLayeredGraph:
 class TestStrategyFlow:
     def test_point_mass_path(self):
         graph = LayeredGraph(3, 2)
-        flow = StrategyFlow.from_mixed(graph, MixedStrategy.point_mass((0, 1, 1)))
+        flow = flow_from_mixed(graph, point_mass((0, 1, 1)))
         assert np.isclose(flow.edge_flow.sum(), 3.0)
         assert np.count_nonzero(flow.edge_flow) == 3
 
     def test_mixture_conserves(self):
         graph = LayeredGraph(3, 2)
         xi = MixedStrategy(support=(((0, 0, 2), 0.5), ((1, 1, 0), 0.5)))
-        flow = StrategyFlow.from_mixed(graph, xi)
+        flow = flow_from_mixed(graph, xi)
         assert np.allclose(flow.node_imbalance(), 0.0)
 
     def test_conservation_violation_detected(self):
         graph = LayeredGraph(3, 2)
-        flow = StrategyFlow.from_mixed(graph, MixedStrategy.point_mass((0, 1, 1)))
+        flow = flow_from_mixed(graph, point_mass((0, 1, 1)))
         broken = flow.edge_flow.copy()
         broken[graph.edge_index(2, 0, 0)] += 0.25
         with pytest.raises(InvalidFlowError):
@@ -107,7 +108,7 @@ class TestStrategyFlow:
 
     def test_dust_zeroed_at_construction(self):
         graph = LayeredGraph(3, 2)
-        path = StrategyFlow.from_mixed(graph, MixedStrategy.point_mass((0, 1, 1)))
+        path = flow_from_mixed(graph, point_mass((0, 1, 1)))
         off_path = [graph.edge_index(1, 0, 2), graph.edge_index(2, 0, 0)]
         raw = path.edge_flow.copy()
         raw[off_path] = [-5e-8, 5e-10]
@@ -161,8 +162,8 @@ class TestBuildMinimaxLp:
         second = build_minimax_lp(sunk, "A").program
         for field in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(first.a, field), getattr(second.a, field))
-        assert np.array_equal(first.rhs, second.rhs)
-        assert first.num_eq == second.num_eq
+        assert np.array_equal(first.row_lower, second.row_lower)
+        assert np.array_equal(first.row_upper, second.row_upper)
 
 
 def _ladder_game(rng, setting, n, d_a, d_b):
@@ -207,8 +208,8 @@ def _games(family):
 
 class TestAssembledMatrix:
     """The constraint matrix is the CSR matrix scipy builds from the same
-    triplets with its zeros eliminated, and HiGHS holds the column-wise
-    matrix ``linprog`` would build from it."""
+    triplets with its zeros eliminated, and HiGHS holds it column-wise with
+    the LP's row bounds."""
 
     @staticmethod
     def _assemble(monkeypatch, game, perspective):
@@ -239,25 +240,33 @@ class TestAssembledMatrix:
 
     @pytest.mark.parametrize("family", ["sweep", "solve-pair-ladder-small", "criterion-3",
                                         "criterion-3-decimal"])
-    def test_held_matrix_is_linprogs(self, monkeypatch, family):
+    def test_held_model_is_the_lps(self, family):
         for game in _games(family):
             for perspective in "AB":
-                program, ref = self._assemble(monkeypatch, game, perspective)
+                model = build_minimax_lp(build_sunk_cost(game), perspective)
+                program = model.program
+                # the <= rows lead: one per opponent edge, then the value row
+                assert np.array_equal(np.flatnonzero(program.row_lower == -np.inf),
+                                      np.arange(model.graph_opp.num_edges + 1))
                 backend = get_backend()
                 assert backend.solve(program).status == "optimal"
-                held = backend._highs.getLp().a_matrix_
+                held = backend._highs.getLp()
+                a = program.a
+                expected = sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape, copy=True)
                 # HiGHS drops entries at or below its small_matrix_value (1e-9)
                 # when the model is passed in: some payoff cells of decimal
                 # games are float residues of 1e-16 where the exact payoff is 0
                 _, small = backend._highs.getOptionValue("small_matrix_value")
-                ref.data[np.abs(ref.data) <= small] = 0.0
-                ref.eliminate_zeros()
-                k = program.num_eq
-                expected = sp.vstack((ref[k:], ref[:k])).tocsc()
-                assert (held.num_row_, held.num_col_) == expected.shape
-                for got, want in ((held.start_, expected.indptr),
-                                  (held.index_, expected.indices),
-                                  (held.value_, expected.data)):
+                expected.data[np.abs(expected.data) <= small] = 0.0
+                expected.eliminate_zeros()
+                expected = expected.tocsc()
+                matrix = held.a_matrix_
+                assert (matrix.num_row_, matrix.num_col_) == expected.shape
+                for got, want in ((matrix.start_, expected.indptr),
+                                  (matrix.index_, expected.indices),
+                                  (matrix.value_, expected.data),
+                                  (held.row_lower_, program.row_lower),
+                                  (held.row_upper_, program.row_upper)):
                     assert np.array_equal(np.asarray(got), want)
 
     @pytest.mark.parametrize("family", ["sweep", "solve-pair-ladder", "criterion-3",
@@ -389,12 +398,12 @@ class TestStatisticBounds:
             xi_hat = decompose_flow(witness.flow)
             xi = MixedStrategy(support=tuple(
                 (unmap_strategy(s, 2), p) for s, p in xi_hat.support))
-            assert set(xi.strategies()) <= S_STAR
+            assert set(strategies(xi)) <= S_STAR
 
     def test_witnesses_certify(self, example_game):
         base, bounds = equilibrium_statistic_bounds(
             example_game, {"res": resource_statistic(example_game)})
-        xi_b = MixedStrategy.point_mass((1, 1))
+        xi_b = point_mass((1, 1))
         for direction in ("min", "max"):
             _, witness = bounds["res"][direction]
             xi_hat = decompose_flow(witness.flow)
@@ -522,7 +531,7 @@ def _cold_face_bounds(game, statistics):
     """Each bound that :func:`equilibrium_statistic_bounds` returns, from a
     cold solve of its face LP on a fresh backend."""
     model = build_minimax_lp(build_sunk_cost(game), "A")
-    face = _optimal_face(model, solve(model).solution)
+    face = _optimal_face(model, solve(model))
     bounds = {}
     for name, statistic in statistics.items():
         objective = _statistic_objective(model, statistic)

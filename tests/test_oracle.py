@@ -10,7 +10,6 @@ from costblotto import (
     CostFunction,
     EnumerationCapError,
     MatrixGame,
-    MixedStrategy,
     OracleSolveError,
     Valuation,
     build_matrix,
@@ -21,7 +20,8 @@ from costblotto import (
     payoff_zero,
 )
 from costblotto.solver import NUMERIC_FAILURE, BackendSolution
-from conftest import DECIMAL_INCREMENTS, SIGN_WEIGHTS, decimal_step_game, random_game
+from conftest import (DECIMAL_INCREMENTS, SIGN_WEIGHTS, decimal_step_game, point_mass,
+                      random_game, strategies)
 
 #: Slack on the float matrix-game strategies' guarantees.
 MEMBERSHIP_EPS_FLOAT = 1e-7
@@ -192,8 +192,8 @@ class TestMatrixGameSolve:
     def test_example_value_zero_exact(self):
         value, xi_row, xi_col = matrix_game_solve(build_matrix(exact_example()))
         assert value == 0
-        assert set(xi_row.strategies()) <= set(S_STAR)
-        assert set(xi_col.strategies()) <= set(S_STAR)
+        assert set(strategies(xi_row)) <= set(S_STAR)
+        assert set(strategies(xi_col)) <= set(S_STAR)
 
     def test_matching_pennies(self):
         mg = MatrixGame(
@@ -322,8 +322,8 @@ class TestExhaustiveEquilibria:
         value, xi_row, xi_col = matrix_game_solve(mg)
         rows, cols = pure_equilibrium_strategies(mg, value)
         for s in rows:
-            assert certify_equilibrium(game, MixedStrategy.point_mass(s), xi_col,
+            assert certify_equilibrium(game, point_mass(s), xi_col,
                                        eps=0) == (True, 0, 0)
         for s in cols:
-            assert certify_equilibrium(game, xi_row, MixedStrategy.point_mass(s),
+            assert certify_equilibrium(game, xi_row, point_mass(s),
                                        eps=0) == (True, 0, 0)

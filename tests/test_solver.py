@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 import costblotto
-from costblotto import build_minimax_lp, build_sunk_cost
+from costblotto import build_minimax_lp, build_sunk_cost, solve
 from costblotto.config import sweep_point_game
 from costblotto.minimax import _optimal_face
 from costblotto.solver import (
@@ -21,7 +21,6 @@ from costblotto.solver import (
     CsrMatrix,
     HighsBasisStatus,
     LinearProgram,
-    MatrixFormat,
     ScipyHighsBackend,
     get_backend,
 )
@@ -33,8 +32,8 @@ def small_lp(sense="max"):
         sense=sense,
         objective=np.array([1.0, 1.0]),
         a=sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]])),
-        num_eq=0,
-        rhs=np.array([3.0, 2.0]),
+        row_lower=np.full(2, -np.inf),
+        row_upper=np.array([3.0, 2.0]),
         lower=np.zeros(2),
         upper=np.full(2, np.inf),
     )
@@ -68,24 +67,16 @@ class TestLinearProgram:
                 sense="max",
                 objective=np.array([1.0]),
                 a=sp.csr_matrix(np.eye(2)),
-                num_eq=0,
-                rhs=np.zeros(2),
+                row_lower=np.zeros(2),
+                row_upper=np.zeros(2),
                 lower=np.zeros(2),
                 upper=np.full(2, np.inf),
             )
 
-    @pytest.mark.parametrize("num_eq", [-1, 3])
-    def test_num_eq_out_of_range_rejected(self, num_eq):
-        with pytest.raises(ValueError, match="num_eq"):
-            LinearProgram(
-                sense="max",
-                objective=np.array([1.0, 1.0]),
-                a=sp.csr_matrix(np.eye(2)),
-                num_eq=num_eq,
-                rhs=np.zeros(2),
-                lower=np.zeros(2),
-                upper=np.full(2, np.inf),
-            )
+    def test_row_bounds_length_checked(self):
+        for field in ("row_lower", "row_upper"):
+            with pytest.raises(ValueError, match="row bounds length"):
+                dataclasses.replace(small_lp(), **{field: np.zeros(3)})
 
     def test_bad_sense_rejected(self):
         with pytest.raises(ValueError):
@@ -93,8 +84,8 @@ class TestLinearProgram:
                 sense="maximize",
                 objective=np.array([1.0]),
                 a=sp.csr_matrix(np.eye(1)),
-                num_eq=0,
-                rhs=np.zeros(1),
+                row_lower=np.zeros(1),
+                row_upper=np.zeros(1),
                 lower=np.zeros(1),
                 upper=np.ones(1),
             )
@@ -107,13 +98,13 @@ class TestScipyHighsBackend:
         assert sol.objective == pytest.approx(3.0, abs=1e-9)
 
     def test_min_solve_with_equality_and_ge(self):
-        # min x0 + 2 x1  s.t.  x0 + x1 = 1,  x1 >= 0.25 (as -x1 <= -0.25)
+        # min x0 + 2 x1  s.t.  x0 + x1 = 1,  x1 >= 0.25
         lp = LinearProgram(
             sense="min",
             objective=np.array([1.0, 2.0]),
-            a=sp.csr_matrix(np.array([[1.0, 1.0], [0.0, -1.0]])),
-            num_eq=1,
-            rhs=np.array([1.0, -0.25]),
+            a=sp.csr_matrix(np.array([[1.0, 1.0], [0.0, 1.0]])),
+            row_lower=np.array([1.0, 0.25]),
+            row_upper=np.array([1.0, np.inf]),
             lower=np.zeros(2),
             upper=np.full(2, np.inf),
         )
@@ -121,14 +112,18 @@ class TestScipyHighsBackend:
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(1.25, abs=1e-9)
         assert sol.x == pytest.approx([0.75, 0.25], abs=1e-9)
+        # every row has its dual: raising the first row's bounds by one unit
+        # adds a unit of x0, raising the second's moves a unit from x0 to x1,
+        # and each costs 1
+        assert sol.row_duals == pytest.approx([1.0, 1.0], abs=1e-9)
 
     def test_infeasible(self):
         lp = LinearProgram(
             sense="max",
             objective=np.array([1.0]),
             a=sp.csr_matrix(np.array([[1.0], [-1.0]])),
-            num_eq=0,
-            rhs=np.array([1.0, -2.0]),
+            row_lower=np.full(2, -np.inf),
+            row_upper=np.array([1.0, -2.0]),
             lower=np.zeros(1),
             upper=np.full(1, np.inf),
         )
@@ -139,8 +134,8 @@ class TestScipyHighsBackend:
             sense="max",
             objective=np.array([1.0]),
             a=sp.csr_matrix(np.zeros((1, 1))),
-            num_eq=0,
-            rhs=np.array([1.0]),
+            row_lower=np.array([-np.inf]),
+            row_upper=np.array([1.0]),
             lower=np.zeros(1),
             upper=np.full(1, np.inf),
         )
@@ -152,8 +147,8 @@ class TestScipyHighsBackend:
             sense="min",
             objective=np.array([1.0, 0.0]),
             a=sp.csr_matrix(np.array([[-1.0, 1.0]])),
-            num_eq=0,
-            rhs=np.array([3.0]),
+            row_lower=np.array([-np.inf]),
+            row_upper=np.array([3.0]),
             lower=np.array([-np.inf, 2.0]),
             upper=np.array([np.inf, 2.0]),
         )
@@ -174,32 +169,6 @@ def large_program(sense="max"):
     lp = flow_program(3, 14, sense)
     assert lp.num_vars >= SIMPLEX_BELOW_COLUMNS
     return lp
-
-
-class TestHandOff:
-    """HiGHS must hold the column-wise matrix ``linprog`` would hand it: the
-    ``<=`` rows, then the equalities, as scipy's ``csc`` arrays."""
-
-    @pytest.mark.parametrize("num_eq, empty_rows", [
-        (0, ()), (3, ()), (7, ()),
-        (3, (2, 3)),  # an empty row on each side of the split
-        (4, (0, 6)),
-    ])
-    def test_held_matrix_is_linprogs(self, num_eq, empty_rows):
-        dense = np.random.default_rng(num_eq).integers(-3, 4, (7, 5)).astype(float)
-        dense[list(empty_rows)] = 0.0
-        lp = LinearProgram(sense="max", objective=np.zeros(5), a=sp.csr_matrix(dense),
-                           num_eq=num_eq, rhs=np.zeros(7), lower=np.zeros(5),
-                           upper=np.ones(5))
-        backend = ScipyHighsBackend()
-        assert backend.solve(lp).status == OPTIMAL
-        held = backend._highs.getLp().a_matrix_
-        expected = sp.vstack((lp.a[num_eq:], lp.a[:num_eq])).tocsc()
-        assert held.format_ == MatrixFormat.kColwise
-        assert (held.num_row_, held.num_col_) == expected.shape
-        for got, want in ((held.start_, expected.indptr), (held.index_, expected.indices),
-                          (held.value_, expected.data)):
-            assert np.array_equal(np.asarray(got), want)
 
 
 class TestSizeRule:
@@ -223,7 +192,7 @@ class TestSizeRule:
         n = 700
         lp = LinearProgram(sense="max", objective=np.ones(n),
                            a=CsrMatrix((n, n), np.arange(n + 1), np.arange(n), np.ones(n)),
-                           num_eq=0, rhs=np.ones(n), lower=np.zeros(n),
+                           row_lower=np.full(n, -np.inf), row_upper=np.ones(n), lower=np.zeros(n),
                            upper=np.full(n, np.inf))
         sol = ScipyHighsBackend(method).solve(lp)
         assert sol.objective == pytest.approx(n) and sol.iterations == 0
@@ -233,7 +202,7 @@ class TestSizeRule:
 class TestRowDuals:
     @pytest.mark.parametrize("method", ["highs", "highs-ds", "highs-ipm"])
     def test_sign_follows_sense(self, method):
-        # x0 + x1 <= 3 binds (one more unit of rhs moves the optimum by 1),
+        # x0 + x1 <= 3 binds (one more unit of row_upper moves the optimum by 1),
         # x0 <= 2 does not
         sol = ScipyHighsBackend(method).solve(small_lp("max"))
         assert sol.row_duals == pytest.approx([1.0, 0.0], abs=1e-9)
@@ -244,15 +213,19 @@ class TestRowDuals:
         assert isinstance(sol.crossover_iterations, int)
 
     def test_interior_point_above_the_size_limit(self):
-        # IPM plus crossover reads back as simplex does: >= 0 for a max LP
+        # IPM plus crossover reads back as simplex does: >= 0 on a max LP's
+        # <= rows, and a dual for every row
         for sense, sign in (("max", 1.0), ("min", -1.0)):
-            sol = ScipyHighsBackend("highs-ipm").solve(large_program(sense))
+            lp = large_program(sense)
+            sol = ScipyHighsBackend("highs-ipm").solve(lp)
             assert sol.status == OPTIMAL and sol.lp_solver == "ipm"
-            assert np.all(sign * sol.row_duals >= -1e-9)
-            assert np.any(sign * sol.row_duals > 1e-6)
+            assert sol.row_duals.shape == (lp.num_constraints,)
+            duals = sign * sol.row_duals[lp.row_lower == -np.inf]
+            assert np.all(duals >= -1e-9)
+            assert np.any(duals > 1e-6)
 
     def test_not_optimal_has_no_duals(self):
-        infeasible = dataclasses.replace(small_lp(), rhs=np.array([-1.0, 2.0]))
+        infeasible = dataclasses.replace(small_lp(), row_upper=np.array([-1.0, 2.0]))
         sol = ScipyHighsBackend().solve(infeasible)
         assert sol.status == INFEASIBLE and sol.row_duals is None
 
@@ -276,8 +249,9 @@ class TestReducedCosts:
         # max 2 x0 + x1 - x2 s.t. x0 + x1 + x2 <= 3, x0 <= 1: x0 sits at its
         # upper bound with a nonzero dual, x1 is basic, x2 is at its lower bound
         lp = LinearProgram(sense="max", objective=np.array([2.0, 1.0, -1.0]),
-                           a=sp.csr_matrix(np.ones((1, 3))), num_eq=0, rhs=np.array([3.0]),
-                           lower=np.zeros(3), upper=np.array([1.0, np.inf, np.inf]))
+                           a=sp.csr_matrix(np.ones((1, 3))), row_lower=np.array([-np.inf]),
+                           row_upper=np.array([3.0]), lower=np.zeros(3),
+                           upper=np.array([1.0, np.inf, np.inf]))
         sol = ScipyHighsBackend(method).solve(lp)
         assert sol.x == pytest.approx([1.0, 2.0, 0.0], abs=1e-9)
         assert sol.reduced_costs == pytest.approx([0.0, 0.0, -2.0], abs=1e-9)
@@ -305,13 +279,13 @@ class TestReducedCosts:
             assert np.array_equal(sol.reduced_costs, sign * np.where(at_lower, col_dual, 0.0))
             assert 0 < sum(at_lower) < len(at_lower)
 
-        base = backend.solve(model.program)
-        check(base, -1.0)
+        base = solve(model, backend)
+        check(base.solution, -1.0)
         face = _optimal_face(model, base)
         check(backend.solve(dataclasses.replace(face, sense="min")), 1.0)
 
     def test_not_optimal_has_no_reduced_costs(self):
-        infeasible = dataclasses.replace(small_lp(), rhs=np.array([-1.0, 2.0]))
+        infeasible = dataclasses.replace(small_lp(), row_upper=np.array([-1.0, 2.0]))
         sol = ScipyHighsBackend().solve(infeasible)
         assert sol.status == INFEASIBLE and sol.reduced_costs is None
 
@@ -346,10 +320,11 @@ class TestHeldModel:
     def test_changes_match_cold_solves(self, method):
         lp = small_lp("max")
         changed = [
-            dataclasses.replace(lp, tight=np.array([False, True])),  # x0 = 2
+            dataclasses.replace(lp, row_lower=np.array([-np.inf, 2.0])),  # x0 = 2
             dataclasses.replace(lp, sense="min", objective=np.array([1.0, -1.0]),
                                 lower=np.array([0.5, 0.0]), upper=np.array([1.0, 2.0])),
-            dataclasses.replace(lp, objective=np.array([1.0, 2.0]), rhs=np.array([2.0, 1.0])),
+            dataclasses.replace(lp, objective=np.array([1.0, 2.0]),
+                                row_upper=np.array([2.0, 1.0])),
             lp,  # every change undone
         ]
         backend = ScipyHighsBackend(method)
@@ -360,10 +335,6 @@ class TestHeldModel:
             assert warm.status == cold.status == OPTIMAL
             assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
             assert warm.x == pytest.approx(cold.x, abs=1e-9)
-
-    def test_tight_length_checked(self):
-        with pytest.raises(ValueError, match="tight"):
-            dataclasses.replace(small_lp(), tight=np.array([True]))
 
 
 def test_missing_binding_fails_at_import():
@@ -415,8 +386,9 @@ def test_scipy_optimize_shares_the_binding(order):
                       "assert res.status == 0 and abs(res.fun - 1) < 1e-12, res\n"
                       "lp = solver.LinearProgram(sense='min', objective=np.array([1.0, 2.0]),\n"
                       "    a=solver.CsrMatrix((1, 2), np.array([0, 2]), np.array([0, 1]),\n"
-                      "                       np.array([-1.0, -1.0])), num_eq=0,\n"
-                      "    rhs=np.array([-1.0]), lower=np.zeros(2), upper=np.full(2, np.inf))\n"
+                      "                       np.array([-1.0, -1.0])),\n"
+                      "    row_lower=np.array([-np.inf]), row_upper=np.array([-1.0]),\n"
+                      "    lower=np.zeros(2), upper=np.full(2, np.inf))\n"
                       "assert abs(solver.get_backend().solve(lp).objective - 1) < 1e-12\n")
     assert proc.returncode == 0, proc.stderr
 

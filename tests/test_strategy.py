@@ -23,7 +23,7 @@ from costblotto import (
     mix_strategies,
     solve,
 )
-from conftest import random_game
+from conftest import flow_from_mixed, point_mass, random_game
 
 S_STAR = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -55,14 +55,14 @@ class TestMarginals:
 class TestMarginalsFromFlow:
     def test_point_mass_path(self):
         graph = LayeredGraph(3, 2)
-        flow = StrategyFlow.from_mixed(graph, MixedStrategy.point_mass((0, 1, 1)))
+        flow = flow_from_mixed(graph, point_mass((0, 1, 1)))
         m = marginals_from_flow(flow)
         assert m.tables == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 1.0, 0.0))
 
     def test_two_path_mixture(self):
         graph = LayeredGraph(3, 2)
         xi = MixedStrategy(support=(((0, 0, 2), 0.5), ((1, 1, 0), 0.5)))
-        m = marginals_from_flow(StrategyFlow.from_mixed(graph, xi))
+        m = marginals_from_flow(flow_from_mixed(graph, xi))
         assert m.tables[0] == (0.5, 0.5, 0.0)
         assert m.tables[1] == (0.5, 0.5, 0.0)
         assert m.tables[2] == (0.5, 0.0, 0.5)
@@ -80,7 +80,7 @@ class TestMarginalsFromFlow:
         graph = LayeredGraph(3, 4)
         xi = MixedStrategy(
             support=(((0, 0, 4), 0.25), ((1, 2, 1), 0.25), ((4, 0, 0), 0.5)))
-        from_flow = marginals_from_flow(StrategyFlow.from_mixed(graph, xi))
+        from_flow = marginals_from_flow(flow_from_mixed(graph, xi))
         from_mixed = marginals_from_mixed(xi, 4)
         assert np.allclose(from_flow.tables, from_mixed.tables)
 
@@ -88,14 +88,14 @@ class TestMarginalsFromFlow:
 class TestDecomposeFlow:
     def test_point_mass(self):
         graph = LayeredGraph(3, 2)
-        flow = StrategyFlow.from_mixed(graph, MixedStrategy.point_mass((0, 1, 1)))
+        flow = flow_from_mixed(graph, point_mass((0, 1, 1)))
         xi = decompose_flow(flow)
         assert xi.support == (((0, 1, 1), 1.0),)
 
     def test_half_half(self):
         graph = LayeredGraph(3, 2)
         original = MixedStrategy(support=(((0, 0, 2), 0.5), ((1, 1, 0), 0.5)))
-        xi = decompose_flow(StrategyFlow.from_mixed(graph, original))
+        xi = decompose_flow(flow_from_mixed(graph, original))
         assert dict(xi.support) == {(0, 0, 2): 0.5, (1, 1, 0): 0.5}
 
     @pytest.mark.parametrize("seed", range(10))
@@ -112,7 +112,7 @@ class TestDecomposeFlow:
 
     def test_invalid_flow_rejected(self):
         graph = LayeredGraph(3, 2)
-        flow = StrategyFlow.from_mixed(graph, MixedStrategy.point_mass((0, 1, 1)))
+        flow = flow_from_mixed(graph, point_mass((0, 1, 1)))
         broken = flow.edge_flow.copy()
         broken[graph.edge_index(2, 1, 1)] += 0.5
         with pytest.raises(InvalidFlowError):
@@ -120,7 +120,7 @@ class TestDecomposeFlow:
 
 
 def point_mass_marginals(s_hat, budget):
-    return marginals_from_mixed(MixedStrategy.point_mass(s_hat), budget)
+    return marginals_from_mixed(point_mass(s_hat), budget)
 
 
 class TestBestResponse:
@@ -216,8 +216,8 @@ class TestCertifyEquilibrium:
     def test_equilibrium_profiles(self, example_game, s_a, s_b):
         is_eq, gap_a, gap_b = certify_equilibrium(
             example_game,
-            MixedStrategy.point_mass(s_a),
-            MixedStrategy.point_mass(s_b))
+            point_mass(s_a),
+            point_mass(s_b))
         assert is_eq
         assert abs(gap_a) <= 1e-12 and abs(gap_b) <= 1e-12
 
@@ -225,8 +225,8 @@ class TestCertifyEquilibrium:
     def test_refuted_against_idle(self, example_game, s_a):
         is_eq, gap_a, _ = certify_equilibrium(
             example_game,
-            MixedStrategy.point_mass(s_a),
-            MixedStrategy.point_mass((0, 0)))
+            point_mass(s_a),
+            point_mass((0, 0)))
         assert not is_eq
         assert gap_a >= 1
 
@@ -235,8 +235,8 @@ class TestCertifyEquilibrium:
     def test_refuted_against_every_equilibrium_reply(self, example_game, s_a, s_b):
         is_eq, gap_a, gap_b = certify_equilibrium(
             example_game,
-            MixedStrategy.point_mass(s_a),
-            MixedStrategy.point_mass(s_b))
+            point_mass(s_a),
+            point_mass(s_b))
         assert not is_eq
         assert max(gap_a, gap_b) >= 1
 
@@ -245,16 +245,16 @@ class TestCertifyEquilibrium:
         # on the opponent's side
         _, gap_a, gap_b = certify_equilibrium(
             example_game,
-            MixedStrategy.point_mass((0, 2)),
-            MixedStrategy.point_mass((0, 1)))
+            point_mass((0, 2)),
+            point_mass((0, 1)))
         assert abs(gap_a) <= 1e-12
         assert gap_b >= 1
 
     def test_mixture_of_equilibria_certifies(self, example_game):
         xi_a = mix_strategies(
-            MixedStrategy.point_mass((0, 0)), MixedStrategy.point_mass((1, 1)))
+            point_mass((0, 0)), point_mass((1, 1)))
         xi_b = mix_strategies(
-            MixedStrategy.point_mass((0, 1)), MixedStrategy.point_mass((1, 0)))
+            point_mass((0, 1)), point_mass((1, 0)))
         is_eq, _, _ = certify_equilibrium(example_game, xi_a, xi_b)
         assert is_eq
 
@@ -262,8 +262,8 @@ class TestCertifyEquilibrium:
         with pytest.raises(ValueError):
             certify_equilibrium(
                 example_game,
-                MixedStrategy.point_mass((2, 1)),
-                MixedStrategy.point_mass((0, 0)))
+                point_mass((2, 1)),
+                point_mass((0, 0)))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gaps_nonnegative(self, seed):
@@ -273,7 +273,7 @@ class TestCertifyEquilibrium:
         pool_b = enumerate_strategies(game.budget_b, game.n)
         _, gap_a, gap_b = certify_equilibrium(
             game,
-            MixedStrategy.point_mass(rng.choice(pool_a)),
-            MixedStrategy.point_mass(rng.choice(pool_b)))
+            point_mass(rng.choice(pool_a)),
+            point_mass(rng.choice(pool_b)))
         assert gap_a >= -1e-9
         assert gap_b >= -1e-9
