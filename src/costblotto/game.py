@@ -40,6 +40,15 @@ def _is_count(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
+def _check_finite(what: str, entries: Iterable[Number]) -> None:
+    """Refuse NaN and infinite float entries, which no order check catches
+    (NaN compares false) and HiGHS would solve as given.  Only floats are
+    checked: ints and fractions are finite, and may exceed a float's range."""
+    for x in entries:
+        if isinstance(x, float) and not math.isfinite(x):
+            raise ValueError(f"{what} has a non-finite entry {x!r}")
+
+
 @dataclass(frozen=True)
 class CostFunction:
     """Non-decreasing cost of assigning or obtaining ``t`` resources.
@@ -56,6 +65,7 @@ class CostFunction:
         object.__setattr__(self, "values", values)
         if not values:
             raise ValueError("cost table must have at least one entry")
+        _check_finite("cost table", values)
         for t in range(len(values) - 1):
             if values[t + 1] < values[t]:
                 raise ValueError(
@@ -116,6 +126,8 @@ class Valuation:
         object.__setattr__(self, "rows", rows)
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("valuation table must be rectangular and non-empty")
+        for r in rows:
+            _check_finite("valuation table", r)
 
     @classmethod
     def sign_form(cls, weight: Number, budget_a: int, budget_b: int) -> "Valuation":
@@ -217,7 +229,8 @@ def own_costs(assign_costs: Sequence[CostFunction], obtain_cost: CostFunction,
               s: PureStrategy) -> tuple[Number, Number]:
     """One player's own costs of its checked strategy ``s``: the sum of its
     assignment costs over the battlefields, and its obtainment cost."""
-    return sum(c(t) for c, t in zip(assign_costs, s)), obtain_cost(sum(s))
+    return (sum(c.values[t] for c, t in zip(assign_costs, s)),
+            obtain_cost.values[sum(s)])
 
 
 def _profile_terms(game: CostBlottoGame, s_a: Iterable[int], s_b: Iterable[int]):

@@ -175,8 +175,9 @@ class SolveResult:
     """A checked optimum in flow form; ``status`` is always ``OPTIMAL``.
     ``opponent_flow``, the opponent's equilibrium flow read from the row
     duals, is set by minimax solves only, not by optimal-face witnesses.
-    ``solution`` is the backend's answer: its iteration counts and the row
-    duals and reduced costs that define the optimal face."""
+    ``solution`` is the backend's answer: its iteration counts and row duals
+    and, for the stage one of :func:`equilibrium_statistic_bounds` only, the
+    reduced costs that with the row duals define the optimal face."""
 
     status: str
     value: float
@@ -315,13 +316,24 @@ def _statistic_objective(model: MinimaxLP, statistic) -> np.ndarray:
         )
     objective = np.zeros(model.num_vars)
     objective[model.marginal_slice] = [float(x) for row in weights for x in row]
+    if not np.isfinite(objective).all():
+        raise ValueError("statistic weights must be finite")
     return objective
+
+
+def _solve_with_face(model: MinimaxLP, backend) -> SolveResult:
+    """:func:`solve`, with the reduced costs of the optimum read from the
+    model ``backend`` still holds, as :func:`face_masks` needs them."""
+    result = solve(model, backend)
+    return replace(result, solution=replace(result.solution,
+                                            reduced_costs=backend.reduced_costs()))
 
 
 def face_masks(result: SolveResult) -> tuple[np.ndarray, np.ndarray]:
     """Columns with a nonzero reduced cost and ``<=`` rows with a nonzero
-    dual in a minimax optimum, both beyond ``FLOW_DUST``.  The ``<=`` rows
-    lead: one per opponent edge, then the value row."""
+    dual in a minimax optimum from :func:`_solve_with_face`, both beyond
+    ``FLOW_DUST``.  The ``<=`` rows lead: one per opponent edge, then the
+    value row."""
     sol = result.solution
     return (np.abs(sol.reduced_costs) > FLOW_DUST,
             np.abs(sol.row_duals[:result.opponent_flow.graph.num_edges + 1]) > FLOW_DUST)
@@ -365,7 +377,7 @@ def equilibrium_statistic_bounds(
     """
     backend = get_backend()
     model = build_minimax_lp(build_sunk_cost(game), "A")
-    base = solve(model, backend)
+    base = _solve_with_face(model, backend)
     face = _optimal_face(model, base)
     objectives = {name: _statistic_objective(model, statistic)
                   for name, statistic in statistics.items()}

@@ -25,7 +25,7 @@ from .game import (
     enumerate_strategies,
     own_costs,
 )
-from .solver import OPTIMAL, CsrMatrix, LinearProgram, ScipyHighsBackend
+from .solver import OPTIMAL, CsrMatrix, LinearProgram, get_backend
 
 
 class OracleSolveError(RuntimeError):
@@ -167,7 +167,7 @@ def _solve_float(payoffs) -> tuple[float, np.ndarray, np.ndarray]:
     a = CsrMatrix(m.shape, np.arange(0, n_rows * n_cols + 1, n_cols),
                   np.tile(np.arange(n_cols), n_rows), (m + shift).ravel())
     # HiGHS's own method choice, whatever method the flow LPs are set to use
-    sol = ScipyHighsBackend("highs").solve(LinearProgram(
+    sol = get_backend("highs").solve(LinearProgram(
         sense="max", objective=np.ones(n_cols), a=a, row_lower=np.full(n_rows, -np.inf),
         row_upper=np.ones(n_rows), lower=np.zeros(n_cols), upper=np.full(n_cols, np.inf)))
     if sol.status != OPTIMAL:

@@ -73,15 +73,17 @@ def build_sunk_cost(game: CostBlottoGame) -> SunkCostGame:
     """
     da, db = game.budget_a, game.budget_b
     tables = []
+    # the games' cost tables span exactly 0..budget, so they are read directly
     for i in range(game.n):
-        rows, ca, cb = game.valuations[i].rows, game.assign_costs_a[i], game.assign_costs_b[i]
+        rows = game.valuations[i].rows
+        ca, cb = game.assign_costs_a[i].values, game.assign_costs_b[i].values
         tables.append(tuple(
-            tuple(rows[a][b] - ca(a) + cb(b) for b in range(db + 1))
-            for a in range(da + 1)
+            tuple(row_a[b] - ca_a + cb[b] for b in range(db + 1))
+            for row_a, ca_a in zip(rows, ca)
         ))
-    ga, gb = game.obtain_cost_a, game.obtain_cost_b
+    ga, gb = game.obtain_cost_a.values, game.obtain_cost_b.values
     tables.append(tuple(
-        tuple(-ga(da - a) + gb(db - b) for b in range(db + 1))
+        tuple(-ga[da - a] + gb[db - b] for b in range(db + 1))
         for a in range(da + 1)
     ))
     return SunkCostGame(n_hat=game.n + 1, budget_a=da, budget_b=db,

@@ -6,17 +6,20 @@ The package loads scipy's compiled binding of HiGHS's own ``Highs`` class
 of the package's start-up.  A :class:`LinearProgram` is HiGHS's own model:
 row bounds ``row_lower <= A x <= row_upper`` over a :class:`CsrMatrix` (or
 any object with its fields, such as a scipy CSR matrix), and column bounds.
-A backend hands each LP to one HiGHS model, the CSR arrays row-wise as they
-are.  The default method is HiGHS's interior-point solver with its default
-crossover, so solutions stay basic (vertex solutions), except that an LP with
-fewer than :data:`SIMPLEX_BELOW_COLUMNS` (600) columns is solved by dual
-simplex, which also ends at a basis: in a ladder of flow LPs, simplex won
-every game of up to 534 columns and interior point most games of 794-841
-columns.  The ``COSTBLOTTO_LP_BACKEND`` environment variable selects another
-HiGHS method, which then runs at every size.  The backend keeps the model of
-the last LP it built.  An LP over that same matrix object is solved by
-changing the model's costs and bounds in place and re-running primal simplex
-from the basis the model holds.
+A backend owns one HiGHS object, set up once, and hands each new LP to it as
+arrays, the CSR arrays row-wise as they are.  The default method is HiGHS's
+interior-point solver with its default crossover, so solutions stay basic
+(vertex solutions), except that an LP with fewer than
+:data:`SIMPLEX_BELOW_COLUMNS` (600) columns is solved by dual simplex, which
+also ends at a basis: in a ladder of flow LPs, simplex won every game of up
+to 534 columns and interior point most games of 794-841 columns.  The
+``COSTBLOTTO_LP_BACKEND`` environment variable selects another HiGHS method,
+which then runs at every size.  :func:`get_backend` gives every caller in a
+process the same backend for a method.  The backend keeps the model of the
+last LP it built.  An LP over that same matrix object, from whichever caller,
+is solved by changing the model's costs and bounds in place and re-running
+primal simplex from the basis the model holds; an LP over any other matrix
+is built cold.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import importlib.util
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 from operator import attrgetter
 
 import numpy as np
@@ -64,9 +68,8 @@ def _load_binding():
 
 try:
     _core = _load_binding()
-    HighsBasisStatus, HighsLp, HighsModelStatus, MatrixFormat, _Highs = (
-        _core.HighsBasisStatus, _core.HighsLp, _core.HighsModelStatus,
-        _core.MatrixFormat, _core._Highs)
+    HighsBasisStatus, HighsModelStatus, HighsStatus, _Highs = (
+        _core.HighsBasisStatus, _core.HighsModelStatus, _core.HighsStatus, _core._Highs)
 except (ImportError, AttributeError) as exc:
     raise ImportError("costblotto needs scipy>=1.17.1, whose binding of HiGHS's own "
                       "Highs class (scipy.optimize._highspy._core._Highs) it uses") from exc
@@ -164,10 +167,10 @@ class LinearProgram:
 class BackendSolution:
     """A backend's answer.  ``row_duals`` holds, per row, the rate at which
     the optimum grows as that row's bounds rise (so >= 0 on a row held at its
-    ``row_upper`` in a ``max`` LP); ``reduced_costs`` holds, per column, the
-    rate at which it grows with the column's lower bound (so <= 0 for a
-    ``max`` LP, and 0 for a column off its lower bound).  Both are set for
-    optimal solutions only.
+    ``row_upper`` in a ``max`` LP), and is set for optimal solutions only.
+    ``reduced_costs`` is never set by :meth:`ScipyHighsBackend.solve`: a
+    caller that needs the optimal face reads them with
+    :meth:`ScipyHighsBackend.reduced_costs` and stores them here.
     ``lp_solver`` names the HiGHS solver, ``"ipm"`` or ``"simplex"``, as
     :class:`HighsRun` reads it."""
 
@@ -222,63 +225,72 @@ def linprog(highs: _Highs) -> HighsRun:
 class ScipyHighsBackend:
     """HiGHS, by one of its methods, on one held model at a time.
 
-    Under the default method, LPs with fewer than
-    :data:`SIMPLEX_BELOW_COLUMNS` columns get simplex, not interior point.
-    An LP whose matrix ``a`` is the held LP's (the same object) only changes
-    the model's costs and bounds and re-solves by primal simplex from the
-    held basis.  Feasibility tolerances are requested well below the
-    package-wide flow tolerance so returned solutions survive the post-solve
-    conservation checks.
+    The backend creates one HiGHS object and sets its fixed options once;
+    each new LP clears the model and passes the LP's arrays.  Under the
+    default method, LPs with fewer than :data:`SIMPLEX_BELOW_COLUMNS`
+    columns get simplex, not interior point.  An LP whose matrix ``a`` is
+    the held LP's (the same object) only changes the model's costs and
+    bounds and re-solves by primal simplex from the held basis, whoever
+    built the held LP: a caller that needs a cold solve of such an LP uses
+    a backend of its own.  Feasibility tolerances are requested well below
+    the package-wide flow tolerance so returned solutions survive the
+    post-solve conservation checks.
     """
 
     def __init__(self, method: str = DEFAULT_BACKEND):
         if method not in METHODS:
             raise ValueError(f"unknown LP backend {method!r}; available: {list(METHODS)}")
         self.method = method
-        self._lp = self._highs = None  # the held LP and HiGHS's model of it
+        self._lp = None  # the LP whose model HiGHS holds
+        self._highs = _Highs()
+        for option, value in (("output_flag", False), ("log_to_console", False),
+                              ("presolve", "on"), ("primal_feasibility_tolerance", 1e-9),
+                              ("dual_feasibility_tolerance", 1e-9)):
+            self._highs.setOptionValue(option, value)
 
-    def _build(self, lp: LinearProgram, cost: np.ndarray) -> None:
-        """Hand HiGHS a new model, with ``lp.a``'s CSR arrays as they are.
-        Under the default method, an LP of fewer than
+    def _build(self, lp: LinearProgram, cost: np.ndarray) -> bool:
+        """Hand HiGHS a new model, with ``lp.a``'s CSR arrays as they are;
+        false if HiGHS refuses it (an infinite or huge matrix entry, a NaN
+        bound).  Under the default method, an LP of fewer than
         :data:`SIMPLEX_BELOW_COLUMNS` (600, set from the ladder noted there)
         columns is solved by simplex."""
-        model = HighsLp()
-        model.num_col_ = model.a_matrix_.num_col_ = lp.num_vars
-        model.num_row_ = model.a_matrix_.num_row_ = lp.num_constraints
-        model.a_matrix_.format_ = MatrixFormat.kRowwise
-        model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = (
-            lp.a.indptr, lp.a.indices, lp.a.data)
-        model.col_cost_, model.col_lower_, model.col_upper_ = cost, lp.lower, lp.upper
-        model.row_lower_, model.row_upper_ = lp.row_lower, lp.row_upper
-        self._highs = _Highs()
+        self._highs.clearModel()
         solver = METHODS[self.method]
         if self.method == DEFAULT_BACKEND and lp.num_vars < SIMPLEX_BELOW_COLUMNS:
             solver = "simplex"
-        for option, value in (("output_flag", False), ("log_to_console", False),
-                              ("presolve", "on"), ("solver", solver),
-                              ("primal_feasibility_tolerance", 1e-9),
-                              ("dual_feasibility_tolerance", 1e-9)):
-            self._highs.setOptionValue(option, value)
-        self._highs.passModel(model)
+        self._highs.setOptionValue("solver", solver)
+        self._highs.setOptionValue("simplex_strategy", 1)  # HiGHS's default, choose
+        a = lp.a
+        # row-wise matrix (2), minimize (1), no objective offset, all columns
+        # continuous: an empty integrality array makes HiGHS refuse the model
+        return self._highs.passModel(
+            lp.num_vars, lp.num_constraints, a.nnz, 2, 1, 0.0, cost, lp.lower, lp.upper,
+            lp.row_lower, lp.row_upper, a.indptr, a.indices, a.data,
+            np.zeros(lp.num_vars, np.int32)) != HighsStatus.kError
 
-    def _change(self, lp: LinearProgram, cost: np.ndarray) -> None:
+    def _change(self, lp: LinearProgram, cost: np.ndarray) -> bool:
+        """Change the held model's costs and bounds to ``lp``'s; false if
+        HiGHS refuses a change (a NaN bound)."""
         cols = np.arange(lp.num_vars)
-        self._highs.changeColsCost(len(cols), cols, cost)
-        self._highs.changeColsBounds(len(cols), cols, lp.lower, lp.upper)
+        statuses = [self._highs.changeColsCost(len(cols), cols, cost),
+                    self._highs.changeColsBounds(len(cols), cols, lp.lower, lp.upper)]
         held = self._lp
         moved = (lp.row_lower != held.row_lower) | (lp.row_upper != held.row_upper)
-        for row in np.flatnonzero(moved):
-            self._highs.changeRowBounds(row, lp.row_lower[row], lp.row_upper[row])
+        statuses += [self._highs.changeRowBounds(row, lp.row_lower[row], lp.row_upper[row])
+                     for row in np.flatnonzero(moved)]
         self._highs.setOptionValue("solver", "simplex")
         self._highs.setOptionValue("simplex_strategy", 4)  # primal
+        return HighsStatus.kError not in statuses
 
     def solve(self, lp: LinearProgram) -> BackendSolution:
         sign = 1.0 if lp.sense == "min" else -1.0  # the model minimizes
         cost = sign * lp.objective
-        if self._lp is not None and lp.a is self._lp.a:
-            self._change(lp, cost)
-        else:
-            self._build(lp, cost)
+        warm = self._lp is not None and lp.a is self._lp.a
+        if not (self._change(lp, cost) if warm else self._build(lp, cost)):
+            self._lp = None  # the next LP is built cold
+            return BackendSolution(status=NUMERIC_FAILURE, x=None, objective=None,
+                                   message="HiGHS refused the model: an entry is "
+                                           "not finite or out of its range")
         self._lp = lp
         run = linprog(self._highs)
         status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(run.status, NUMERIC_FAILURE)
@@ -287,16 +299,32 @@ class ScipyHighsBackend:
         if status != OPTIMAL:
             return BackendSolution(status=status, x=None, objective=None, **info)
         solution = self._highs.getSolution()
-        at_lower = np.fromiter(map(attrgetter("value"), self._highs.getBasis().col_status),
-                               np.int8, lp.num_vars) == HighsBasisStatus.kLower.value
         return BackendSolution(
             status=OPTIMAL, x=np.array(solution.col_value), objective=float(sign * run.fun),
-            row_duals=sign * np.array(solution.row_dual),
-            reduced_costs=sign * np.where(at_lower, solution.col_dual, 0.0), **info)
+            row_duals=sign * np.array(solution.row_dual), **info)
+
+    def reduced_costs(self) -> np.ndarray:
+        """Per column of the LP last solved, the rate at which its optimum
+        grows with the column's lower bound (so <= 0 for a ``max`` LP, and 0
+        for a column off its lower bound).  They are read from the held
+        model, so only after an optimal solve and before the next one."""
+        if self._lp is None or self._highs.getModelStatus() != HighsModelStatus.kOptimal:
+            raise SolverFailureError("no optimal solution is held to read reduced costs from")
+        lp = self._lp
+        at_lower = np.fromiter(map(attrgetter("value"), self._highs.getBasis().col_status),
+                               np.int8, lp.num_vars) == HighsBasisStatus.kLower.value
+        sign = 1.0 if lp.sense == "min" else -1.0
+        return sign * np.where(at_lower, self._highs.getSolution().col_dual, 0.0)
 
 
 def get_backend(name: str | None = None) -> ScipyHighsBackend:
-    """Resolve a backend by name, or by ``COSTBLOTTO_LP_BACKEND``, or default."""
+    """Resolve a backend by name, or by ``COSTBLOTTO_LP_BACKEND``, or default.
+    Every call with the same name in one process returns the same backend."""
     if name is None:
         name = os.environ.get(BACKEND_ENV_VAR, DEFAULT_BACKEND)
+    return _backend(name)
+
+
+@cache
+def _backend(name: str) -> ScipyHighsBackend:
     return ScipyHighsBackend(name)

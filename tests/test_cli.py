@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from costblotto import cli, load_game, build_minimax_lp, build_sunk_cost, minimax, oracle, solve
+from costblotto import (cli, load_game, build_minimax_lp, build_sunk_cost,
+                        equilibrium_statistic_bounds, minimax, oracle, resource_statistic, solve)
 from costblotto.cli import (
     SWEEP_CSV_HEADER,
     _fmt,
@@ -23,8 +24,11 @@ from costblotto.solver import (
     SIMPLEX_BELOW_COLUMNS,
     ScipyHighsBackend,
     SolverFailureError,
+    get_backend,
 )
 from costblotto.strategy import CERTIFICATE_EPS
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 S_STAR = {(0, 0), (0, 1), (1, 0), (1, 1)}
 
@@ -147,6 +151,44 @@ class TestBounds:
         # at least B's support rows and the value row are tight
         assert isinstance(face["tight_rows"], int) and face["tight_rows"] >= 2
 
+    @pytest.mark.parametrize("name, face", [
+        ("example_small", {"fixed_columns": 3, "tight_rows": 4}),
+        ("linear_obtainment", {"fixed_columns": 3036, "tight_rows": 155}),
+        ("quadratic_assignment", {"fixed_columns": 2756, "tight_rows": 81}),
+    ])
+    def test_only_stage_one_reads_reduced_costs(self, name, face, tmp_path, monkeypatch):
+        # solve and the oracle read no reduced costs; bounds reads stage one's,
+        # and its face is the one they gave when every solve carried them
+        solutions, reads = [], []
+        real_solve, real_reduced = ScipyHighsBackend.solve, ScipyHighsBackend.reduced_costs
+
+        def recorded_solve(self, lp):
+            solutions.append(real_solve(self, lp))
+            return solutions[-1]
+
+        def counted_reduced_costs(self):
+            reads.append(1)
+            return real_reduced(self)
+
+        monkeypatch.setattr(ScipyHighsBackend, "solve", recorded_solve)
+        monkeypatch.setattr(ScipyHighsBackend, "reduced_costs", counted_reduced_costs)
+        config = str(CONFIGS / f"{name}.json")
+        if name == "example_small":
+            # float costs send the oracle down its floating-point LP
+            float_costs = tmp_path / "float_costs.json"
+            float_costs.write_text(json.dumps(
+                {**EXAMPLE_CONFIG, "obtain_cost_A": {"kind": "linear", "coeff": 0.3}}))
+            assert main(["oracle-diff", "--config", str(float_costs)]) == 0
+        assert main(["solve", "--config", config, "--player", "A",
+                     "--out", str(tmp_path / "solve")]) == 0
+        assert solutions and all(sol.reduced_costs is None for sol in solutions)
+        assert reads == []
+        out = tmp_path / "bounds"
+        assert main(["bounds", "--config", config, "--statistic", "resources",
+                     "--out", str(out)]) == 0
+        assert reads == [1]
+        assert json.loads((out / "bounds_resources.json").read_text())["face"] == face
+
     def test_expenditure_equals_resources_here(self, config_path, tmp_path):
         # unit obtainment cost and free assignment: spend == obtain
         out = tmp_path / "out"
@@ -191,6 +233,26 @@ class TestSweep:
             return rows
 
         assert run(1, "serial") == run(2, "parallel")
+
+    def test_parallel_after_solves_in_process(self, tmp_path):
+        # forked workers inherit the process's backends with a model held
+        spec = dict(SMALL_SWEEP)
+        spec["c0_inv"] = {"min": 1, "max": 2, "interval": 1}
+        spec_path = _write_spec(tmp_path, spec)
+        game = sweep_point_game(2, 3, 3, 1.5)
+        equilibrium_statistic_bounds(game, {"resources": resource_statistic(game)})
+        assert get_backend()._lp is not None
+
+        def run(jobs, name):
+            out = tmp_path / name
+            assert main(["sweep", "--spec", spec_path, "--out", str(out),
+                         "--jobs", str(jobs)]) == 0
+            rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
+            for r in rows:
+                del r["solve_ms"]
+            return rows
+
+        assert run(2, "parallel") == run(1, "serial")
 
     def test_bad_jobs(self, tmp_path):
         spec = _write_spec(tmp_path, SMALL_SWEEP)
@@ -358,23 +420,18 @@ class TestBrokenDuals:
 
 
 class FaceClosingBackend(ScipyHighsBackend):
-    """Real solves, but the first (stage-one) answer reports a nonzero
-    reduced cost on every flow column, so the optimal face fixes every flow
-    edge at 0 and holds no unit flow."""
+    """Real solves, but the stage-one reduced costs read nonzero on every
+    flow column, so the optimal face fixes every flow edge at 0 and holds
+    no unit flow."""
 
     def __init__(self, game):
         super().__init__()
         self.flow_slice = build_minimax_lp(build_sunk_cost(game), "A").flow_slice
-        self.calls = 0
 
-    def solve(self, lp):
-        sol = super().solve(lp)
-        self.calls += 1
-        if self.calls > 1:
-            return sol
-        reduced = sol.reduced_costs.copy()
+    def reduced_costs(self):
+        reduced = super().reduced_costs()
         reduced[self.flow_slice] = -1.0
-        return dataclasses.replace(sol, reduced_costs=reduced)
+        return reduced
 
 
 class TestInfeasibleFace:
@@ -581,7 +638,7 @@ class TestFailingChecks:
         path = tmp_path / "game.json"
         path.write_text(json.dumps({**EXAMPLE_CONFIG,
                                     "obtain_cost_A": {"kind": "linear", "coeff": 0.3}}))
-        monkeypatch.setattr(oracle, "ScipyHighsBackend", FailingBackend)
+        monkeypatch.setattr(oracle, "get_backend", FailingBackend)
         assert main(["oracle-diff", "--config", str(path)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -73,6 +73,18 @@ class TestCostFunction:
         with pytest.raises(ValueError):
             f(-1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # NaN passes the order check; HiGHS would solve the game it makes
+        with pytest.raises(ValueError, match="non-finite"):
+            CostFunction.from_table([0, bad, 2])
+        with pytest.raises(ValueError, match="non-finite"):
+            CostFunction.linear(abs(bad), 2)
+
+    def test_entries_beyond_float_range_allowed(self):
+        f = CostFunction.from_table((0, 10**400, Fraction(10**400, 3) * 4))
+        assert f(1) == 10**400
+
     def test_constant_nonzero_offset_allowed(self):
         # only monotonicity is required, f(0) may be positive
         f = CostFunction.from_table((2, 2, 3))
@@ -98,6 +110,16 @@ class TestValuation:
         v = Valuation.from_table(((0, -1), (2, 0)))
         assert v.rows[1][0] == 2
         assert v.rows[0][1] == -1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            Valuation.from_table(((0, 1), (bad, 0)))
+        with pytest.raises(ValueError, match="non-finite"):
+            Valuation.sign_form(bad, 1, 1)
+
+    def test_entries_beyond_float_range_allowed(self):
+        assert Valuation.sign_form(10**400, 1, 1).rows[1][0] == 10**400
 
     @given(st.integers(0, 10), st.integers(0, 10), st.integers(1, 5))
     def test_sign_antisymmetry(self, a, b, w):

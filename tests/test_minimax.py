@@ -31,8 +31,8 @@ from costblotto import (
 )
 from costblotto.cli import classify_hypothesis_case
 from costblotto.config import parse_game_config, sweep_point_game
-from costblotto.minimax import _optimal_face, _statistic_objective
-from costblotto.solver import CsrMatrix, get_backend
+from costblotto.minimax import _optimal_face, _solve_with_face, _statistic_objective
+from costblotto.solver import CsrMatrix, ScipyHighsBackend, get_backend
 from costblotto.strategy import best_response_value
 from conftest import (DECIMAL_INCREMENTS, example_one, flow_from_mixed, path_edges, point_mass,
                       random_game, strategies)
@@ -467,6 +467,14 @@ class TestStatisticBounds:
         with pytest.raises(ValueError):
             equilibrium_statistic_bounds(example_game, {"bad": ((0.0, 0.0),)})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_statistic_rejected(self, example_game, bad):
+        # HiGHS answers a NaN objective coefficient as optimal, with a NaN optimum
+        statistic = [list(row) for row in resource_statistic(example_game)]
+        statistic[0][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            equilibrium_statistic_bounds(example_game, {"bad": statistic})
+
     @pytest.mark.parametrize("n,budget,c0_inv", [(2, 6, 2.5), (3, 10, 3.5)])
     def test_case_two_point_exact(self, n, budget, c0_inv):
         # the equilibrium resources are unique: min(D, n * floor(c0_inv))
@@ -531,12 +539,12 @@ def _cold_face_bounds(game, statistics):
     """Each bound that :func:`equilibrium_statistic_bounds` returns, from a
     cold solve of its face LP on a fresh backend."""
     model = build_minimax_lp(build_sunk_cost(game), "A")
-    face = _optimal_face(model, solve(model))
+    face = _optimal_face(model, _solve_with_face(model, ScipyHighsBackend()))
     bounds = {}
     for name, statistic in statistics.items():
         objective = _statistic_objective(model, statistic)
         bounds[name] = {
-            direction: get_backend().solve(
+            direction: ScipyHighsBackend().solve(
                 replace(face, sense=direction, objective=objective)).objective
             for direction in ("min", "max")}
     return bounds

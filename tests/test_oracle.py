@@ -182,7 +182,7 @@ class TestFloatOracle:
                 return BackendSolution(status=NUMERIC_FAILURE, x=None, objective=None,
                                        message="stub failure")
 
-        monkeypatch.setattr(oracle, "ScipyHighsBackend", FailingBackend)
+        monkeypatch.setattr(oracle, "get_backend", FailingBackend)
         mg = build_matrix(DECIMAL_GAMES[0])
         with pytest.raises(OracleSolveError, match="matrix game solve failed: stub failure"):
             matrix_game_solve(mg)

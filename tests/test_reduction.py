@@ -11,7 +11,7 @@ from costblotto import (
     unmap_strategy,
 )
 from costblotto.reduction import oriented_valuations
-from conftest import SIGN_WEIGHTS, decimal_step_game, random_game
+from conftest import DECIMAL_INCREMENTS, SIGN_WEIGHTS, decimal_step_game, random_game
 
 
 class TestBuildSunkCost:
@@ -48,6 +48,24 @@ class TestBuildSunkCost:
                 expected = (-game.obtain_cost_a(game.budget_a - a)
                             + game.obtain_cost_b(game.budget_b - b))
                 assert sunk.valuations_hat[game.n][a][b] == expected
+
+    @pytest.mark.parametrize("kind", ["fraction", "dyadic", "decimal"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cells_equal_cost_calls(self, seed, kind):
+        # the fold reads the cost tables directly: every cell must equal the
+        # formula through the cost functions in type and in every bit
+        game = random_game(random.Random(900 + seed), exact=kind == "fraction",
+                           increments=DECIMAL_INCREMENTS if kind == "decimal" else None)
+        da, db = game.budget_a, game.budget_b
+        tables = build_sunk_cost(game).valuations_hat
+        for i in range(game.n):
+            rows, ca, cb = game.valuations[i].rows, game.assign_costs_a[i], game.assign_costs_b[i]
+            expected = [[rows[a][b] - ca(a) + cb(b) for b in range(db + 1)]
+                        for a in range(da + 1)]
+            assert repr(tables[i]) == repr(tuple(map(tuple, expected)))
+        ga, gb = game.obtain_cost_a, game.obtain_cost_b
+        expected = [[-ga(da - a) + gb(db - b) for b in range(db + 1)] for a in range(da + 1)]
+        assert repr(tables[game.n]) == repr(tuple(map(tuple, expected)))
 
     @pytest.mark.parametrize("step", [0.1, 0.3])
     @pytest.mark.parametrize("weight", SIGN_WEIGHTS)

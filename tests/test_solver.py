@@ -9,12 +9,14 @@ import pytest
 import scipy.sparse as sp
 
 import costblotto
-from costblotto import build_minimax_lp, build_sunk_cost, solve
+from costblotto import (build_minimax_lp, build_sunk_cost, equilibrium_statistic_bounds,
+                        resource_statistic, solve)
 from costblotto.config import sweep_point_game
-from costblotto.minimax import _optimal_face
+from costblotto.minimax import _optimal_face, _solve_with_face
 from costblotto.solver import (
     BACKEND_ENV_VAR,
     INFEASIBLE,
+    NUMERIC_FAILURE,
     OPTIMAL,
     SIMPLEX_BELOW_COLUMNS,
     UNBOUNDED,
@@ -22,6 +24,7 @@ from costblotto.solver import (
     HighsBasisStatus,
     LinearProgram,
     ScipyHighsBackend,
+    SolverFailureError,
     get_backend,
 )
 
@@ -236,13 +239,15 @@ class TestReducedCosts:
         # max x0 + 2 x1 s.t. x0 + x1 <= 3, x0 <= 2: x = (0, 3); raising
         # x0's lower bound by one unit moves the optimum by -1, x1 is basic
         lp = dataclasses.replace(small_lp("max"), objective=np.array([1.0, 2.0]))
-        sol = ScipyHighsBackend(method).solve(lp)
+        backend = ScipyHighsBackend(method)
+        sol = backend.solve(lp)
         assert sol.x == pytest.approx([0.0, 3.0], abs=1e-9)
-        assert sol.reduced_costs == pytest.approx([-1.0, 0.0], abs=1e-9)
+        assert backend.reduced_costs() == pytest.approx([-1.0, 0.0], abs=1e-9)
         lp = dataclasses.replace(lp, sense="min", objective=np.array([-1.0, -2.0]))
-        sol = ScipyHighsBackend(method).solve(lp)
+        backend = ScipyHighsBackend(method)
+        sol = backend.solve(lp)
         assert sol.objective == pytest.approx(-6.0)
-        assert sol.reduced_costs == pytest.approx([1.0, 0.0], abs=1e-9)
+        assert backend.reduced_costs() == pytest.approx([1.0, 0.0], abs=1e-9)
 
     @pytest.mark.parametrize("method", ["highs", "highs-ds", "highs-ipm"])
     def test_column_at_upper_bound_reads_zero(self, method):
@@ -252,19 +257,22 @@ class TestReducedCosts:
                            a=sp.csr_matrix(np.ones((1, 3))), row_lower=np.array([-np.inf]),
                            row_upper=np.array([3.0]), lower=np.zeros(3),
                            upper=np.array([1.0, np.inf, np.inf]))
-        sol = ScipyHighsBackend(method).solve(lp)
+        backend = ScipyHighsBackend(method)
+        sol = backend.solve(lp)
         assert sol.x == pytest.approx([1.0, 2.0, 0.0], abs=1e-9)
-        assert sol.reduced_costs == pytest.approx([0.0, 0.0, -2.0], abs=1e-9)
+        assert backend.reduced_costs() == pytest.approx([0.0, 0.0, -2.0], abs=1e-9)
 
     def test_interior_point_above_the_size_limit(self):
         # <= 0 for a max LP, and 0 off the lower bound
         for sense, sign in (("max", -1.0), ("min", 1.0)):
             lp = large_program(sense)
-            sol = ScipyHighsBackend("highs-ipm").solve(lp)
+            backend = ScipyHighsBackend("highs-ipm")
+            sol = backend.solve(lp)
+            reduced = backend.reduced_costs()
             assert sol.status == OPTIMAL and sol.lp_solver == "ipm"
-            assert np.all(sign * sol.reduced_costs >= -1e-9)
-            assert np.any(sign * sol.reduced_costs > 1e-6)
-            assert np.all(sol.reduced_costs[sol.x > lp.lower + 1e-9] == 0.0)
+            assert np.all(sign * reduced >= -1e-9)
+            assert np.any(sign * reduced > 1e-6)
+            assert np.all(reduced[sol.x > lp.lower + 1e-9] == 0.0)
 
     def test_equal_to_a_scan_of_the_basis(self):
         # the reduced costs of a stage-one solve and of a face solve on the
@@ -272,22 +280,26 @@ class TestReducedCosts:
         model = build_minimax_lp(build_sunk_cost(sweep_point_game(3, 6, 5, 2.5)), "A")
         backend = ScipyHighsBackend()
 
-        def check(sol, sign):
+        def check(reduced_costs, sign):
             at_lower = [s == HighsBasisStatus.kLower
                         for s in backend._highs.getBasis().col_status]
             col_dual = np.array(backend._highs.getSolution().col_dual)
-            assert np.array_equal(sol.reduced_costs, sign * np.where(at_lower, col_dual, 0.0))
+            assert np.array_equal(reduced_costs, sign * np.where(at_lower, col_dual, 0.0))
             assert 0 < sum(at_lower) < len(at_lower)
 
-        base = solve(model, backend)
-        check(base.solution, -1.0)
+        base = _solve_with_face(model, backend)
+        check(base.solution.reduced_costs, -1.0)
         face = _optimal_face(model, base)
-        check(backend.solve(dataclasses.replace(face, sense="min")), 1.0)
+        backend.solve(dataclasses.replace(face, sense="min"))
+        check(backend.reduced_costs(), 1.0)
 
     def test_not_optimal_has_no_reduced_costs(self):
         infeasible = dataclasses.replace(small_lp(), row_upper=np.array([-1.0, 2.0]))
-        sol = ScipyHighsBackend().solve(infeasible)
+        backend = ScipyHighsBackend()
+        sol = backend.solve(infeasible)
         assert sol.status == INFEASIBLE and sol.reduced_costs is None
+        with pytest.raises(SolverFailureError, match="no optimal solution"):
+            backend.reduced_costs()
 
 
 class TestBackendRegistry:
@@ -336,6 +348,59 @@ class TestHeldModel:
             assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
             assert warm.x == pytest.approx(cold.x, abs=1e-9)
 
+
+
+class TestRefusedModel:
+    """A model or change HiGHS refuses ends in numeric failure, and the next
+    LP is built cold."""
+
+    @pytest.mark.parametrize("field, value", [("data", np.inf), ("data", 1e300),
+                                              ("lower", np.nan)])
+    def test_numeric_failure(self, field, value):
+        lp = small_lp()
+        if field == "data":
+            data = lp.a.data.copy()
+            data[1] = value
+            bad = dataclasses.replace(lp, a=CsrMatrix(lp.a.shape, lp.a.indptr, lp.a.indices,
+                                                      data))
+        else:
+            bad = dataclasses.replace(lp, lower=np.array([value, 0.0]))
+        backend = ScipyHighsBackend()
+        assert backend.solve(lp).status == OPTIMAL
+        for _ in range(2):  # refused again: nothing of the refused LP is held
+            sol = backend.solve(bad)
+            assert sol.status == NUMERIC_FAILURE and sol.x is None
+            assert sol.message.startswith("HiGHS refused the model")
+        assert backend.solve(lp).objective == pytest.approx(3.0)
+
+
+class TestBackendReuse:
+    """One backend per method serves every caller in a process; what one
+    caller leaves in it must not show in another's cold solve."""
+
+    def test_one_backend_per_method(self, monkeypatch):
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        assert get_backend() is get_backend("highs-ipm")
+        assert get_backend("highs") is get_backend("highs") is not get_backend()
+
+    @pytest.mark.parametrize("program, lp_solver", [(lambda: flow_program(2, 4), "simplex"),
+                                                    (large_program, "ipm")],
+                             ids=["simplex", "ipm"])
+    def test_cold_solve_after_bounds(self, program, lp_solver, monkeypatch):
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        game = sweep_point_game(3, 6, 5, 2.5)
+        equilibrium_statistic_bounds(game, {"resources": resource_statistic(game)})
+        shared = get_backend()
+        # the face solves leave primal simplex set on the shared model
+        assert shared._highs.getOptionValue("simplex_strategy")[1] == 4
+        lp = program()
+        reused, fresh = shared.solve(lp), ScipyHighsBackend().solve(lp)
+        assert reused.status == fresh.status == OPTIMAL
+        assert np.array_equal(reused.x, fresh.x)
+        assert np.array_equal(reused.row_duals, fresh.row_duals)
+        assert (reused.iterations, reused.crossover_iterations, reused.lp_solver) == \
+            (fresh.iterations, fresh.crossover_iterations, fresh.lp_solver)
+        assert reused.lp_solver == lp_solver
 
 def test_missing_binding_fails_at_import():
     # scipy releases without HiGHS's own binding lack ``_Highs``
