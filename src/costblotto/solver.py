@@ -7,15 +7,13 @@ of the package's start-up.  A :class:`LinearProgram` is HiGHS's own model:
 row bounds ``row_lower <= A x <= row_upper`` over a :class:`CsrMatrix` (or
 any object with its fields, such as a scipy CSR matrix), and column bounds.
 A backend owns one HiGHS object, set up once, and hands each new LP to it as
-arrays, the CSR arrays row-wise as they are.  The default method is HiGHS's
-interior-point solver with its default crossover, so solutions stay basic
-(vertex solutions), except that an LP with fewer than
-:data:`SIMPLEX_BELOW_COLUMNS` (600) columns is solved by dual simplex, which
-also ends at a basis: in a ladder of flow LPs, simplex won every game of up
-to 534 columns and interior point most games of 794-841 columns.  The
-``COSTBLOTTO_LP_BACKEND`` environment variable selects another HiGHS method,
-which then runs at every size.  :func:`get_backend` gives every caller in a
-process the same backend for a method.  The backend keeps the model of the
+arrays, the CSR arrays row-wise as they are.  Each caller fixes its method.
+The default, for the flow LPs, is HiGHS's interior-point solver with its
+default crossover, so solutions stay basic (vertex solutions), except that
+an LP with fewer than :data:`SIMPLEX_BELOW_COLUMNS` columns is solved by dual
+simplex, which also ends at a basis.  ``"highs-ds"`` runs dual simplex at
+every size.  :func:`get_backend` gives every caller in a process the same
+backend for a method.  The backend keeps the model of the
 last LP it built.  An LP over that same matrix object, from whichever caller,
 is solved by changing the model's costs and bounds in place and re-running
 primal simplex from the basis the model holds; an LP over any other matrix
@@ -79,11 +77,12 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 NUMERIC_FAILURE = "numeric-failure"
 
+# Kept because perfbench/run.py and tests/test_perfbench_contract.py read it; the package does not.
 BACKEND_ENV_VAR = "COSTBLOTTO_LP_BACKEND"
 
 #: The HiGHS methods a backend may use, named as ``linprog`` names them, and
 #: HiGHS's ``solver`` option for each.
-METHODS = {"highs": "choose", "highs-ds": "simplex", "highs-ipm": "ipm"}
+METHODS = {"highs-ds": "simplex", "highs-ipm": "ipm"}
 
 #: Interior point plus crossover: 2.5-18x faster than simplex on the flow LPs.
 DEFAULT_BACKEND = "highs-ipm"
@@ -153,6 +152,9 @@ class LinearProgram:
             raise ValueError("objective/bounds length does not match the column count")
         if len(self.row_lower) != n_rows or len(self.row_upper) != n_rows:
             raise ValueError("row bounds length does not match the row count")
+        # HiGHS answers a NaN cost as optimal with a NaN optimum
+        if not (np.isfinite(self.objective).all() and np.isfinite(self.a.data).all()):
+            raise ValueError("objective coefficients and matrix entries must be finite")
 
     @property
     def num_vars(self) -> int:
@@ -194,9 +196,8 @@ _LINPROG_STATUS = {HighsModelStatus.kOptimal: 0, HighsModelStatus.kInfeasible: 2
 class HighsRun:
     """One HiGHS run in ``linprog``'s terms: ``status`` is its code (0 is
     optimal), ``nit`` its iteration count and ``fun`` its objective.
-    ``lp_solver`` is the model's ``solver`` option, ``"simplex"`` or ``"ipm"``;
-    under ``"choose"`` it is ``"ipm"`` if interior point iterated, else
-    ``"simplex"``."""
+    ``lp_solver`` is the model's ``solver`` option, ``"simplex"`` or
+    ``"ipm"``."""
 
     status: int
     message: str
@@ -211,15 +212,12 @@ def linprog(highs: _Highs) -> HighsRun:
     """Run HiGHS on the model ``highs`` holds.  Every solve goes through here."""
     highs.run()
     status, info = highs.getModelStatus(), highs.getInfo()
-    solver = highs.getOptionValue("solver")[1]
-    if solver == "choose":
-        solver = "ipm" if info.ipm_iteration_count > 0 else "simplex"
     return HighsRun(status=_LINPROG_STATUS.get(status, 4),
                     message=highs.modelStatusToString(status),
                     nit=info.simplex_iteration_count or info.ipm_iteration_count,
                     crossover_nit=info.crossover_iteration_count,
                     fun=info.objective_function_value,
-                    lp_solver=solver)
+                    lp_solver=highs.getOptionValue("solver")[1])
 
 
 class ScipyHighsBackend:
@@ -252,8 +250,7 @@ class ScipyHighsBackend:
         """Hand HiGHS a new model, with ``lp.a``'s CSR arrays as they are;
         false if HiGHS refuses it (an infinite or huge matrix entry, a NaN
         bound).  Under the default method, an LP of fewer than
-        :data:`SIMPLEX_BELOW_COLUMNS` (600, set from the ladder noted there)
-        columns is solved by simplex."""
+        :data:`SIMPLEX_BELOW_COLUMNS` columns is solved by simplex."""
         self._highs.clearModel()
         solver = METHODS[self.method]
         if self.method == DEFAULT_BACKEND and lp.num_vars < SIMPLEX_BELOW_COLUMNS:
@@ -317,11 +314,9 @@ class ScipyHighsBackend:
         return sign * np.where(at_lower, self._highs.getSolution().col_dual, 0.0)
 
 
-def get_backend(name: str | None = None) -> ScipyHighsBackend:
-    """Resolve a backend by name, or by ``COSTBLOTTO_LP_BACKEND``, or default.
-    Every call with the same name in one process returns the same backend."""
-    if name is None:
-        name = os.environ.get(BACKEND_ENV_VAR, DEFAULT_BACKEND)
+def get_backend(name: str = DEFAULT_BACKEND) -> ScipyHighsBackend:
+    """The backend of the method ``name``.  Every call with the same name in
+    one process returns the same backend."""
     return _backend(name)
 
 

@@ -17,7 +17,6 @@ from costblotto.cli import (
 )
 from costblotto.config import parse_sweep_spec, sweep_point_game
 from costblotto.solver import (
-    BACKEND_ENV_VAR,
     INFEASIBLE,
     NUMERIC_FAILURE,
     BackendSolution,
@@ -328,8 +327,7 @@ class TestOracleDiff:
 
 
 class TestLpStats:
-    def test_report(self, config_path, capsys, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    def test_report(self, config_path, capsys):
         assert main(["lp-stats", "--config", config_path]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["method"] == "highs-ipm"
@@ -345,8 +343,7 @@ class TestLpStats:
         assert report["status"] == "optimal"
         assert report["value"] == pytest.approx(0, abs=1e-8)
 
-    def test_large_lp_runs_interior_point(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    def test_large_lp_runs_interior_point(self, tmp_path, capsys):
         path = tmp_path / "large.json"
         path.write_text(json.dumps(dict(EXAMPLE_CONFIG, n=3, budget_A=14, budget_B=14)))
         assert main(["lp-stats", "--config", str(path)]) == 0
@@ -543,12 +540,6 @@ class TestErrorPaths:
             main(["solve", "--config", config_path,
                   "--player", "C", "--out", str(tmp_path)])
         assert exc.value.code == 2
-
-    def test_unknown_backend_env(self, config_path, monkeypatch, capsys):
-        monkeypatch.setenv("COSTBLOTTO_LP_BACKEND", "glop")
-        assert main(["oracle-diff", "--config", config_path]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert "glop" in err["error"]["message"]
 
 
 class TestConfigBoundary:

@@ -19,7 +19,8 @@ from costblotto import (
     payoff_costs,
     payoff_zero,
 )
-from costblotto.solver import NUMERIC_FAILURE, BackendSolution
+from costblotto.config import sweep_point_game
+from costblotto.solver import NUMERIC_FAILURE, SIMPLEX_BELOW_COLUMNS, BackendSolution, get_backend
 from conftest import (DECIMAL_INCREMENTS, SIGN_WEIGHTS, decimal_step_game, point_mass,
                       random_game, strategies)
 
@@ -173,10 +174,29 @@ class TestFloatOracle:
         assert (p @ m).min() >= value - 1e-9
         assert (m @ q).max() <= value + 1e-9
 
+    def test_large_matrix_game_runs_dual_simplex(self, monkeypatch):
+        # 680 strategies a side: past the flow LPs' simplex size limit, where
+        # interior point took 2-3x as long as dual simplex on these dense games
+        solutions = []
+
+        class RecordingBackend:
+            def __init__(self, method):
+                self.backend = get_backend(method)
+
+            def solve(self, lp):
+                solutions.append(self.backend.solve(lp))
+                return solutions[-1]
+
+        monkeypatch.setattr(oracle, "get_backend", RecordingBackend)
+        mg = build_matrix(sweep_point_game(3, 14, 14, 2.5))
+        assert len(mg.col_strategies) == 680 > SIMPLEX_BELOW_COLUMNS
+        matrix_game_solve(mg)
+        assert [s.lp_solver for s in solutions] == ["simplex"]
+
     def test_not_optimal_raises(self, monkeypatch):
         class FailingBackend:
             def __init__(self, method):
-                assert method == "highs"
+                assert method == "highs-ds"
 
             def solve(self, lp):
                 return BackendSolution(status=NUMERIC_FAILURE, x=None, objective=None,

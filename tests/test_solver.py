@@ -16,6 +16,7 @@ from costblotto.minimax import _optimal_face, _solve_with_face
 from costblotto.solver import (
     BACKEND_ENV_VAR,
     INFEASIBLE,
+    METHODS,
     NUMERIC_FAILURE,
     OPTIMAL,
     SIMPLEX_BELOW_COLUMNS,
@@ -80,6 +81,15 @@ class TestLinearProgram:
         for field in ("row_lower", "row_upper"):
             with pytest.raises(ValueError, match="row bounds length"):
                 dataclasses.replace(small_lp(), **{field: np.zeros(3)})
+
+    @pytest.mark.parametrize("field", ["objective", "a"])
+    def test_nan_rejected(self, field):
+        # HiGHS answered a NaN cost as optimal with a NaN optimum, and a NaN
+        # matrix entry as unbounded
+        value = {"objective": np.array([np.nan, 1.0]),
+                 "a": sp.csr_matrix(np.array([[1.0, np.nan], [1.0, 0.0]]))}[field]
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(small_lp(), **{field: value})
 
     def test_bad_sense_rejected(self):
         with pytest.raises(ValueError):
@@ -186,12 +196,10 @@ class TestSizeRule:
         # the rule belongs to the default; a chosen method runs as chosen
         assert ScipyHighsBackend("highs-ds").solve(large_program()).lp_solver == "simplex"
 
-    @pytest.mark.parametrize("method, label", [("highs-ipm", "ipm"), ("highs-ds", "simplex"),
-                                               ("highs", "simplex")])
+    @pytest.mark.parametrize("method, label", [("highs-ipm", "ipm"), ("highs-ds", "simplex")])
     def test_label_of_an_lp_presolve_solves(self, method, label):
         # max sum(x) s.t. x <= 1 over 700 columns: presolve solves it outright,
-        # so no solver iterates; the label is the solver the model was set to
-        # run, and only HiGHS's own choice falls back to the iteration counts
+        # so no solver iterates; the label is the solver the model was set to run
         n = 700
         lp = LinearProgram(sense="max", objective=np.ones(n),
                            a=CsrMatrix((n, n), np.arange(n + 1), np.arange(n), np.ones(n)),
@@ -203,7 +211,7 @@ class TestSizeRule:
 
 
 class TestRowDuals:
-    @pytest.mark.parametrize("method", ["highs", "highs-ds", "highs-ipm"])
+    @pytest.mark.parametrize("method", list(METHODS))
     def test_sign_follows_sense(self, method):
         # x0 + x1 <= 3 binds (one more unit of row_upper moves the optimum by 1),
         # x0 <= 2 does not
@@ -234,7 +242,7 @@ class TestRowDuals:
 
 
 class TestReducedCosts:
-    @pytest.mark.parametrize("method", ["highs", "highs-ds", "highs-ipm"])
+    @pytest.mark.parametrize("method", list(METHODS))
     def test_sign_follows_sense(self, method):
         # max x0 + 2 x1 s.t. x0 + x1 <= 3, x0 <= 2: x = (0, 3); raising
         # x0's lower bound by one unit moves the optimum by -1, x1 is basic
@@ -249,7 +257,7 @@ class TestReducedCosts:
         assert sol.objective == pytest.approx(-6.0)
         assert backend.reduced_costs() == pytest.approx([1.0, 0.0], abs=1e-9)
 
-    @pytest.mark.parametrize("method", ["highs", "highs-ds", "highs-ipm"])
+    @pytest.mark.parametrize("method", list(METHODS))
     def test_column_at_upper_bound_reads_zero(self, method):
         # max 2 x0 + x1 - x2 s.t. x0 + x1 + x2 <= 3, x0 <= 1: x0 sits at its
         # upper bound with a nonzero dual, x1 is basic, x2 is at its lower bound
@@ -303,7 +311,7 @@ class TestReducedCosts:
 
 
 class TestBackendRegistry:
-    @pytest.mark.parametrize("name", ["highs", "highs-ds", "highs-ipm"])
+    @pytest.mark.parametrize("name", list(METHODS))
     def test_known_backends(self, name):
         backend = get_backend(name)
         assert backend.solve(small_lp()).status == OPTIMAL
@@ -312,23 +320,26 @@ class TestBackendRegistry:
         with pytest.raises(ValueError, match="glop"):
             get_backend("glop")
 
-    def test_env_var_selection(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "highs-ds")
-        assert get_backend().method == "highs-ds"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "nope")
-        with pytest.raises(ValueError):
-            get_backend()
+    def test_highs_choice_is_gone(self):
+        # the oracle's matrix games run "highs-ds"; HiGHS's own choice ran the same
+        with pytest.raises(ValueError, match="highs"):
+            get_backend("highs")
 
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    def test_default(self):
         assert get_backend().method == "highs-ipm"
+
+    def test_environment_is_ignored(self, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV_VAR, "highs-ds")
+        backend = get_backend()
+        assert backend.method == "highs-ipm"
+        assert backend.solve(large_program()).lp_solver == "ipm"
 
 
 class TestHeldModel:
     """An LP over the held model's matrix object is re-solved in place; each
     answer must match a cold solve on a fresh backend."""
 
-    @pytest.mark.parametrize("method", ["highs", "highs-ds", "highs-ipm"])
+    @pytest.mark.parametrize("method", list(METHODS))
     def test_changes_match_cold_solves(self, method):
         lp = small_lp("max")
         changed = [
@@ -361,8 +372,12 @@ class TestRefusedModel:
         if field == "data":
             data = lp.a.data.copy()
             data[1] = value
-            bad = dataclasses.replace(lp, a=CsrMatrix(lp.a.shape, lp.a.indptr, lp.a.indices,
-                                                      data))
+            a = CsrMatrix(lp.a.shape, lp.a.indptr, lp.a.indices, data)
+            if not np.isfinite(value):  # refused before any backend sees it
+                with pytest.raises(ValueError, match="finite"):
+                    dataclasses.replace(lp, a=a)
+                return
+            bad = dataclasses.replace(lp, a=a)
         else:
             bad = dataclasses.replace(lp, lower=np.array([value, 0.0]))
         backend = ScipyHighsBackend()
@@ -378,16 +393,14 @@ class TestBackendReuse:
     """One backend per method serves every caller in a process; what one
     caller leaves in it must not show in another's cold solve."""
 
-    def test_one_backend_per_method(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    def test_one_backend_per_method(self):
         assert get_backend() is get_backend("highs-ipm")
-        assert get_backend("highs") is get_backend("highs") is not get_backend()
+        assert get_backend("highs-ds") is get_backend("highs-ds") is not get_backend()
 
     @pytest.mark.parametrize("program, lp_solver", [(lambda: flow_program(2, 4), "simplex"),
                                                     (large_program, "ipm")],
                              ids=["simplex", "ipm"])
-    def test_cold_solve_after_bounds(self, program, lp_solver, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    def test_cold_solve_after_bounds(self, program, lp_solver):
         game = sweep_point_game(3, 6, 5, 2.5)
         equilibrium_statistic_bounds(game, {"resources": resource_statistic(game)})
         shared = get_backend()
