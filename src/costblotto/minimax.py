@@ -9,6 +9,11 @@ shortest source-to-sink path in its own layered graph under expected edge
 payoffs, which node potentials bound from below.  One LP in both yields the
 game value with variable and constraint counts quadratic in the budget and
 linear in the battlefield count, instead of the exponential strategy space.
+
+A player's own costs depend on its own assignment only, so they couple
+nothing: the LP's matrix holds only the valuations, the perspective player's
+costs are terms of the objective and the opponent's are bounds of its
+potential rows.  The matrix of a game is the same whatever its costs.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .game import CostBlottoGame
-from .reduction import SunkCostGame, build_sunk_cost, oriented_valuations
+from .game import CostBlottoGame, _check_player
+from .reduction import SunkCostGame, build_sunk_cost
 from .solver import (OPTIMAL, BackendSolution, CsrMatrix, LinearProgram, SolverFailureError,
                      get_backend)
 
@@ -147,11 +152,14 @@ class MinimaxLP:
     per-battlefield marginals (one per assignment level), the opponent's
     expected per-assignment battlefield payoffs, the opponent's node
     potentials, and the value variable.  The marginal and expected-payoff
-    variables are definitional; they keep every constraint row short.  Rows
-    are, in order, the ``<=`` rows (``row_lower`` is ``-inf``): one
-    opponent-potential row per opponent edge, whose duals form the opponent's
-    equilibrium flow, then the value row; then the equalities: flow
-    conservation per node, the marginals and the expected payoffs.
+    variables are definitional; they keep every constraint row short.  The
+    objective, maximized, is the value variable less the perspective
+    player's own costs on its marginals.  Rows are, in order, the ``<=`` rows
+    (``row_lower`` is ``-inf``): one opponent-potential row per opponent
+    edge, bounded by the opponent's own cost of that edge's assignment, whose
+    duals form the opponent's equilibrium flow, then the value row; then the
+    equalities: flow conservation per node, the marginals and the expected
+    payoffs of the valuations alone.
     """
 
     program: LinearProgram
@@ -173,8 +181,12 @@ class MinimaxLP:
 @dataclass(frozen=True)
 class SolveResult:
     """A checked optimum in flow form; ``status`` is always ``OPTIMAL``.
-    ``opponent_flow``, the opponent's equilibrium flow read from the row
-    duals, is set by minimax solves only, not by optimal-face witnesses.
+    ``value`` is the minimax objective at the solution: the value variable
+    less the perspective player's expected own costs, which at a minimax
+    optimum, and at every point of its optimal face, is the game value seen
+    from the perspective player.  ``opponent_flow``, the opponent's
+    equilibrium flow read from the row duals, is set by minimax solves only,
+    not by optimal-face witnesses.
     ``solution`` is the backend's answer: its iteration counts and row duals
     and, for the stage one of :func:`equilibrium_statistic_bounds` only, the
     reduced costs that with the row duals define the optimal face."""
@@ -189,19 +201,26 @@ class SolveResult:
 def build_minimax_lp(sunk: SunkCostGame, perspective: str = "A") -> MinimaxLP:
     """Assemble the maximin LP of ``perspective`` over both layered graphs.
 
-    The perspective player maximizes a value variable bounded by the
-    opponent's sink potential; potentials are constrained edge-by-edge so the
-    sink potential never exceeds the opponent's cheapest reply against the
-    chosen flow's marginals.  At the optimum the value variable equals the
-    game value seen from ``perspective``.
+    The perspective player maximizes a value variable, bounded by the
+    opponent's sink potential, less its expected own costs; potentials are
+    constrained edge-by-edge so the sink potential never exceeds the
+    opponent's cheapest reply against the chosen flow's marginals, each edge
+    priced at its expected valuation plus the opponent's own cost.  At the
+    optimum the objective is the game value seen from ``perspective``.
     """
-    d_self, d_opp, tables = oriented_valuations(sunk, perspective)
+    _check_player(perspective)
     n_hat = sunk.n_hat
+    # A's view: the battlefields with a valuation, their tables w, and each
+    # player's own costs; B's view negates and transposes the tables
+    fields = np.flatnonzero([t is not None for t in sunk.valuations])
+    w = np.array([t for t in sunk.valuations if t is not None], dtype=float).reshape(
+        len(fields), sunk.budget_a + 1, sunk.budget_b + 1)
+    c_self, c_opp = np.array(sunk.costs_a, dtype=float), np.array(sunk.costs_b, dtype=float)
+    if perspective == "B":
+        w, c_self, c_opp = -w.transpose(0, 2, 1), c_opp, c_self
+    d_self, d_opp = w.shape[1] - 1, w.shape[2] - 1
     gs = LayeredGraph(n_hat, d_self)
     go = LayeredGraph(n_hat, d_opp)
-    w = np.empty((n_hat, d_self + 1, d_opp + 1))
-    for i, table in enumerate(tables):
-        w[i] = [[float(x) for x in row] for row in table]
 
     e_s, v_s = gs.num_edges, gs.num_nodes
     e_o, v_o = go.num_edges, go.num_nodes
@@ -233,15 +252,17 @@ def build_minimax_lp(sunk: SunkCostGame, perspective: str = "A") -> MinimaxLP:
     marg_of_edge = row_marg + (gs.edge_field - 1) * (d_self + 1) + gs.edge_assign
     add(marg_of_edge, edge_ids, -np.ones(e_s))
     add(row_marg + np.arange(n_marg), col_h + np.arange(n_marg), np.ones(n_marg))
-    # expected payoffs: q[i, b] equals sum_a w[i, a, b] * h[i, a]
+    # expected payoffs: q[i, b] equals sum_a w[k, a, b] * h[i, a] on the
+    # k-th battlefield i with a valuation, and 0 on the others
     add(row_pay + np.arange(n_pay), col_q + np.arange(n_pay), np.ones(n_pay))
-    i_idx = np.repeat(np.arange(n_hat), (d_opp + 1) * (d_self + 1))
-    b_idx = np.tile(np.repeat(np.arange(d_opp + 1), d_self + 1), n_hat)
-    a_idx = np.tile(np.arange(d_self + 1), n_hat * (d_opp + 1))
-    add(row_pay + i_idx * (d_opp + 1) + b_idx,
-        col_h + i_idx * (d_self + 1) + a_idx,
-        -w[i_idx, a_idx, b_idx])
-    # opponent potentials: pi[head] <= pi[tail] + q[i, b] along every edge
+    k_idx = np.repeat(np.arange(len(fields)), (d_opp + 1) * (d_self + 1))
+    b_idx = np.tile(np.repeat(np.arange(d_opp + 1), d_self + 1), len(fields))
+    a_idx = np.tile(np.arange(d_self + 1), len(fields) * (d_opp + 1))
+    add(row_pay + fields[k_idx] * (d_opp + 1) + b_idx,
+        col_h + fields[k_idx] * (d_self + 1) + a_idx,
+        -w[k_idx, a_idx, b_idx])
+    # opponent potentials: pi[head] <= pi[tail] + q[i, b] + c_opp[i, b]
+    # along every edge, the opponent's own cost as the row's bound
     opp_rows = np.arange(e_o)
     add(opp_rows, col_pi + go.head_nodes(), np.ones(e_o))
     add(opp_rows, col_pi + go.tail_nodes(), -np.ones(e_o))
@@ -251,11 +272,12 @@ def build_minimax_lp(sunk: SunkCostGame, perspective: str = "A") -> MinimaxLP:
     add([e_o], [col_t], [1.0])
     add([e_o], [col_pi + go.sink], [-1.0])
 
-    # zero table cells (a sign valuation's ties among them) are not stored
+    # zero valuation cells (a sign valuation's ties among them) are not stored
     a = CsrMatrix.from_triplets((num_rows, num_vars), np.concatenate(rows),
                                 np.concatenate(cols), np.concatenate(vals))
 
     row_upper = np.zeros(num_rows)
+    row_upper[:e_o] = c_opp[go.edge_field - 1, go.edge_assign]
     row_upper[row_node + gs.source] = -1.0
     row_upper[row_node + gs.sink] = 1.0
     row_lower = row_upper.copy()
@@ -267,6 +289,7 @@ def build_minimax_lp(sunk: SunkCostGame, perspective: str = "A") -> MinimaxLP:
     lower[col_pi + go.source] = upper[col_pi + go.source] = 0.0
 
     objective = np.zeros(num_vars)
+    objective[col_h:col_q] = -c_self.ravel()
     objective[col_t] = 1.0
 
     program = LinearProgram(sense="max", objective=objective, a=a, row_lower=row_lower,
@@ -296,7 +319,7 @@ def _result_from_solution(model: MinimaxLP, sol: BackendSolution, what: str,
     except InvalidFlowError as exc:
         which = "flow" if flow is None else "opponent flow from the row duals"
         raise SolverFailureError(f"{what} unusable: {which}: {exc}") from exc
-    return SolveResult(status=OPTIMAL, value=float(sol.x[model.value_index]), flow=flow,
+    return SolveResult(status=OPTIMAL, value=float(model.program.objective @ sol.x), flow=flow,
                        solution=sol, opponent_flow=opponent_flow)
 
 

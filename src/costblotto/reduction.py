@@ -5,7 +5,10 @@ treated as sunk: assignment costs move into each battlefield's valuation, and
 an extra battlefield absorbs the obtainment costs.  Each player "assigns" its
 unspent resources to the extra battlefield, so full assignments of the whole
 budget over ``n + 1`` battlefields correspond one-to-one with partial
-assignments over the original ``n``.
+assignments over the original ``n``.  A player's costs depend on its own
+assignment only, so the sunk-cost game keeps them apart from the valuations,
+which alone couple the two players, and folds them in once for the readers
+of full payoff tables.
 """
 
 from __future__ import annotations
@@ -26,21 +29,31 @@ from .game import (
 )
 
 ValueTable = tuple[tuple[Number, ...], ...]
+CostRow = tuple[Number, ...]
 
 
 @dataclass(frozen=True)
 class SunkCostGame:
     """A constant-budget contest: each player assigns its entire budget.
 
-    ``valuations_hat[i]`` is the full payoff table of battlefield ``i`` to
-    player A, indexed ``[a][b]`` over ``0..budget_a`` and ``0..budget_b``.
-    The game is zero sum.
+    Battlefield ``i`` pays player A ``valuations[i][a][b] - costs_a[i][a] +
+    costs_b[i][b]`` when A assigns ``a`` and B assigns ``b``, over
+    ``0..budget_a`` and ``0..budget_b``: a valuation, which couples the two
+    players, and each player's own cost of its own assignment.  A battlefield
+    whose valuation is ``None`` pays the costs alone.  ``valuations_hat[i]``
+    is battlefield ``i``'s full payoff table to A, indexed ``[a][b]`` and
+    folded once at construction.  A game built from ``valuations_hat`` alone
+    has zero costs, and those tables are its valuations.  The game is zero
+    sum.
     """
 
     n_hat: int
     budget_a: int
     budget_b: int
-    valuations_hat: tuple[ValueTable, ...]
+    valuations_hat: tuple[ValueTable, ...] | None = None
+    valuations: tuple[ValueTable | None, ...] | None = None
+    costs_a: tuple[CostRow, ...] | None = None
+    costs_b: tuple[CostRow, ...] | None = None
 
     def __post_init__(self):
         if not isinstance(self.n_hat, int) or self.n_hat < 1:
@@ -49,45 +62,72 @@ class SunkCostGame:
             raise ValueError(
                 f"budgets must be nonnegative ints, got {self.budget_a!r}, {self.budget_b!r}"
             )
-        tables = tuple(tuple(tuple(row) for row in t) for t in self.valuations_hat)
-        object.__setattr__(self, "valuations_hat", tables)
+        parts = (self.valuations, self.costs_a, self.costs_b)
+        by_hand = self.valuations_hat is not None
+        if any(p is not None for p in parts) if by_hand else None in parts:
+            raise ValueError("give either valuations_hat alone or valuations, costs_a "
+                             "and costs_b")
+        da, db = self.budget_a, self.budget_b
+        if by_hand:
+            tables = self._tables("valuations_hat", self.valuations_hat)
+            if None in tables:
+                raise ValueError("valuations_hat must be full tables")
+            costs_a, costs_b = ((0,) * (da + 1),) * self.n_hat, ((0,) * (db + 1),) * self.n_hat
+            folded = tables
+        else:
+            tables = self._tables("valuations", self.valuations)
+            costs_a = self._rows("costs_a", self.costs_a, da)
+            costs_b = self._rows("costs_b", self.costs_b, db)
+            folded = tuple(map(_fold, tables, costs_a, costs_b))
+        for name, value in (("valuations_hat", folded), ("valuations", tables),
+                            ("costs_a", costs_a), ("costs_b", costs_b)):
+            object.__setattr__(self, name, value)
+
+    def _tables(self, name, tables):
+        tables = tuple(None if t is None else tuple(tuple(row) for row in t) for t in tables)
         if len(tables) != self.n_hat:
-            raise ValueError(
-                f"valuations_hat has {len(tables)} tables, expected n_hat={self.n_hat}"
-            )
+            raise ValueError(f"{name} has {len(tables)} tables, expected n_hat={self.n_hat}")
         for i, t in enumerate(tables):
-            if len(t) != self.budget_a + 1 or any(len(row) != self.budget_b + 1 for row in t):
-                raise ValueError(
-                    f"valuations_hat[{i}] must be {self.budget_a + 1}x{self.budget_b + 1}"
-                )
+            if t is not None and (len(t) != self.budget_a + 1
+                                  or any(len(row) != self.budget_b + 1 for row in t)):
+                raise ValueError(f"{name}[{i}] must be {self.budget_a + 1}x{self.budget_b + 1}")
+        return tables
+
+    def _rows(self, name, rows, budget):
+        rows = tuple(tuple(row) for row in rows)
+        if len(rows) != self.n_hat or any(len(row) != budget + 1 for row in rows):
+            raise ValueError(f"{name} must be {self.n_hat} rows of length {budget + 1}")
+        return rows
+
+
+def _fold(table: ValueTable | None, ca: CostRow, cb: CostRow) -> ValueTable:
+    """The full payoff table ``table[a][b] - ca[a] + cb[b]``; without a
+    table, ``-ca[a] + cb[b]``."""
+    if table is None:
+        return tuple(tuple(-ca_a + cb_b for cb_b in cb) for ca_a in ca)
+    return tuple(tuple(row_a[b] - ca_a + cb[b] for b in range(len(cb)))
+                 for row_a, ca_a in zip(table, ca))
 
 
 def build_sunk_cost(game: CostBlottoGame) -> SunkCostGame:
-    """Fold both players' costs of ``game`` into an equivalent sunk-cost game.
+    """The sunk-cost game of ``game``, with both players' costs as their own.
 
-    Battlefield ``i <= n`` pays ``v_i(a, b) - ca_i(a) + cb_i(b)`` and the
-    extra battlefield pays ``-ga(budget_a - a) + gb(budget_b - b)``, where an
-    assignment of ``t`` to the extra battlefield means ``budget - t``
-    resources were actually obtained.  Every strategy of the original game
-    keeps its zero-sum-companion payoff under :func:`map_strategy`.
+    Battlefield ``i <= n`` keeps valuation ``v_i`` and the assignment costs
+    ``ca_i`` and ``cb_i``, so it pays ``v_i(a, b) - ca_i(a) + cb_i(b)``.  The
+    extra battlefield has no valuation and pays ``-ga(budget_a - a) +
+    gb(budget_b - b)``, where an assignment of ``t`` to it means
+    ``budget - t`` resources were actually obtained.  Every strategy of the
+    original game keeps its zero-sum-companion payoff under
+    :func:`map_strategy`.
     """
-    da, db = game.budget_a, game.budget_b
-    tables = []
     # the games' cost tables span exactly 0..budget, so they are read directly
-    for i in range(game.n):
-        rows = game.valuations[i].rows
-        ca, cb = game.assign_costs_a[i].values, game.assign_costs_b[i].values
-        tables.append(tuple(
-            tuple(row_a[b] - ca_a + cb[b] for b in range(db + 1))
-            for row_a, ca_a in zip(rows, ca)
-        ))
-    ga, gb = game.obtain_cost_a.values, game.obtain_cost_b.values
-    tables.append(tuple(
-        tuple(-ga[da - a] + gb[db - b] for b in range(db + 1))
-        for a in range(da + 1)
-    ))
-    return SunkCostGame(n_hat=game.n + 1, budget_a=da, budget_b=db,
-                        valuations_hat=tuple(tables))
+    return SunkCostGame(
+        n_hat=game.n + 1, budget_a=game.budget_a, budget_b=game.budget_b,
+        valuations=tuple(v.rows for v in game.valuations) + (None,),
+        costs_a=tuple(c.values for c in game.assign_costs_a)
+        + (game.obtain_cost_a.values[::-1],),
+        costs_b=tuple(c.values for c in game.assign_costs_b)
+        + (game.obtain_cost_b.values[::-1],))
 
 
 def map_strategy(s: Iterable[int], budget: int) -> PureStrategy:

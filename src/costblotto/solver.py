@@ -220,6 +220,9 @@ def linprog(highs: _Highs) -> HighsRun:
                     lp_solver=highs.getOptionValue("solver")[1])
 
 
+_REFUSED = "HiGHS refused the model: an entry is not finite or out of its range"
+
+
 class ScipyHighsBackend:
     """HiGHS, by one of its methods, on one held model at a time.
 
@@ -246,10 +249,12 @@ class ScipyHighsBackend:
                               ("dual_feasibility_tolerance", 1e-9)):
             self._highs.setOptionValue(option, value)
 
-    def _build(self, lp: LinearProgram, cost: np.ndarray) -> bool:
+    def _build(self, lp: LinearProgram, cost: np.ndarray) -> str:
         """Hand HiGHS a new model, with ``lp.a``'s CSR arrays as they are;
-        false if HiGHS refuses it (an infinite or huge matrix entry, a NaN
-        bound).  Under the default method, an LP of fewer than
+        the reason if HiGHS refuses it (an infinite or huge matrix entry, a
+        NaN bound) or holds fewer matrix entries than ``lp.a`` stores (it
+        drops those at or below its ``small_matrix_value``), else ``""``.
+        Under the default method, an LP of fewer than
         :data:`SIMPLEX_BELOW_COLUMNS` columns is solved by simplex."""
         self._highs.clearModel()
         solver = METHODS[self.method]
@@ -260,14 +265,21 @@ class ScipyHighsBackend:
         a = lp.a
         # row-wise matrix (2), minimize (1), no objective offset, all columns
         # continuous: an empty integrality array makes HiGHS refuse the model
-        return self._highs.passModel(
-            lp.num_vars, lp.num_constraints, a.nnz, 2, 1, 0.0, cost, lp.lower, lp.upper,
-            lp.row_lower, lp.row_upper, a.indptr, a.indices, a.data,
-            np.zeros(lp.num_vars, np.int32)) != HighsStatus.kError
+        if self._highs.passModel(
+                lp.num_vars, lp.num_constraints, a.nnz, 2, 1, 0.0, cost, lp.lower, lp.upper,
+                lp.row_lower, lp.row_upper, a.indptr, a.indices, a.data,
+                np.zeros(lp.num_vars, np.int32)) == HighsStatus.kError:
+            return _REFUSED
+        held = self._highs.getNumNz()
+        if held != a.nnz:
+            _, small = self._highs.getOptionValue("small_matrix_value")
+            return (f"HiGHS holds {held} of the LP's {a.nnz} matrix entries: it dropped "
+                    f"those at or below its small_matrix_value ({small:g})")
+        return ""
 
-    def _change(self, lp: LinearProgram, cost: np.ndarray) -> bool:
-        """Change the held model's costs and bounds to ``lp``'s; false if
-        HiGHS refuses a change (a NaN bound)."""
+    def _change(self, lp: LinearProgram, cost: np.ndarray) -> str:
+        """Change the held model's costs and bounds to ``lp``'s; the reason
+        if HiGHS refuses a change (a NaN bound), else ``""``."""
         cols = np.arange(lp.num_vars)
         statuses = [self._highs.changeColsCost(len(cols), cols, cost),
                     self._highs.changeColsBounds(len(cols), cols, lp.lower, lp.upper)]
@@ -277,17 +289,17 @@ class ScipyHighsBackend:
                      for row in np.flatnonzero(moved)]
         self._highs.setOptionValue("solver", "simplex")
         self._highs.setOptionValue("simplex_strategy", 4)  # primal
-        return HighsStatus.kError not in statuses
+        return _REFUSED if HighsStatus.kError in statuses else ""
 
     def solve(self, lp: LinearProgram) -> BackendSolution:
         sign = 1.0 if lp.sense == "min" else -1.0  # the model minimizes
         cost = sign * lp.objective
         warm = self._lp is not None and lp.a is self._lp.a
-        if not (self._change(lp, cost) if warm else self._build(lp, cost)):
+        refused = self._change(lp, cost) if warm else self._build(lp, cost)
+        if refused:
             self._lp = None  # the next LP is built cold
             return BackendSolution(status=NUMERIC_FAILURE, x=None, objective=None,
-                                   message="HiGHS refused the model: an entry is "
-                                           "not finite or out of its range")
+                                   message=refused)
         self._lp = lp
         run = linprog(self._highs)
         status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(run.status, NUMERIC_FAILURE)

@@ -152,8 +152,8 @@ class TestBounds:
 
     @pytest.mark.parametrize("name, face", [
         ("example_small", {"fixed_columns": 3, "tight_rows": 4}),
-        ("linear_obtainment", {"fixed_columns": 3036, "tight_rows": 155}),
-        ("quadratic_assignment", {"fixed_columns": 2756, "tight_rows": 81}),
+        ("linear_obtainment", {"fixed_columns": 3192, "tight_rows": 152}),
+        ("quadratic_assignment", {"fixed_columns": 2756, "tight_rows": 76}),
     ])
     def test_only_stage_one_reads_reduced_costs(self, name, face, tmp_path, monkeypatch):
         # solve and the oracle read no reduced costs; bounds reads stage one's,
@@ -512,6 +512,47 @@ class TestInfeasibleSolve:
         assert err["error"]["type"] == "SolverFailureError"
         assert "infeasible" in err["error"]["message"]
         assert not out.exists()
+
+
+def _sign_game_config(tmp_path, weight):
+    """n=2, budgets 3/2, no costs and sign weight ``weight``: the value is
+    ``weight / 2``, and 185 matrix entries are stored."""
+    none = {"kind": "none"}
+    path = tmp_path / "sign.json"
+    path.write_text(json.dumps({
+        "n": 2, "budget_A": 3, "budget_B": 2, "valuations": {"kind": "sign", "weight": weight},
+        "assign_costs_A": none, "assign_costs_B": none,
+        "obtain_cost_A": none, "obtain_cost_B": none}))
+    return str(path)
+
+
+class TestDroppedEntries:
+    """HiGHS drops matrix entries at or below its ``small_matrix_value``
+    (1e-9) when the model is passed in, and would solve another LP than the
+    one built: here the 18 payoff entries of weight 1e-9 or less."""
+
+    @pytest.mark.parametrize("weight", [1e-10, 1e-9])
+    @pytest.mark.parametrize("command", ["solve", "lp-stats"])
+    def test_exit_code_3(self, command, weight, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = [command, "--config", _sign_game_config(tmp_path, weight)]
+        if command == "solve":
+            args += ["--player", "A", "--out", str(out)]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "SolverFailureError"
+        assert err["message"] == (
+            "minimax solve failed: numeric-failure HiGHS holds 167 of the LP's 185 matrix "
+            "entries: it dropped those at or below its small_matrix_value (1e-09)")
+        assert not out.exists()
+
+    def test_small_weight_solves(self, tmp_path, capsys):
+        assert main(["lp-stats", "--config", _sign_game_config(tmp_path, 1e-6)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["nonzeros"] == 185
+        assert report["value"] == pytest.approx(5e-7, rel=1e-9)
 
 
 class TestErrorPaths:

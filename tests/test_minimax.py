@@ -150,11 +150,47 @@ class TestBuildMinimaxLp:
             assert model.graph_opp.budget == d_opp
 
     def test_objective_targets_value_variable(self, example_game):
+        # A's only cost is obtainment g(t) = t, on the 2 - a it obtains when
+        # it leaves a unspent: the LP maximizes t - E[g]
         model = build_minimax_lp(build_sunk_cost(example_game), "A")
         obj = model.program.objective
         assert model.program.sense == "max"
         assert obj[model.value_index] == 1.0
-        assert np.count_nonzero(obj) == 1
+        assert obj[model.marginal_slice].tolist() == [0, 0, 0, 0, 0, 0, -2, -1, 0]
+        assert np.count_nonzero(obj) == 3
+
+    @pytest.mark.parametrize("family", ["sweep", "solve-pair-ladder-small", "criterion-3",
+                                        "criterion-3-decimal"])
+    def test_objective_is_value_less_own_costs(self, family):
+        for game in _games(family):
+            for perspective in "AB":
+                model = build_minimax_lp(build_sunk_cost(game), perspective)
+                own = _own_costs(game, perspective)
+                expected = np.zeros(model.num_vars)
+                expected[model.marginal_slice] = [-float(c) for row in own for c in row]
+                expected[model.value_index] = 1.0
+                assert np.array_equal(model.program.objective, expected)
+
+    @pytest.mark.parametrize("perspective", "AB")
+    def test_costs_leave_the_matrix_alone(self, perspective):
+        # a player's costs move the objective when it is the perspective
+        # player, the opponent-potential rows' bounds when it is the opponent
+        base = sweep_point_game(3, 8, 7, 1.5)
+        programs = {"none": base}
+        for who, d in (("a", 8), ("b", 7)):
+            programs[who.upper()] = replace(base, **{
+                f"assign_costs_{who}": tuple(CostFunction.quadratic(0.25, d) for _ in range(3)),
+                f"obtain_cost_{who}": CostFunction.linear(0.5, d)})
+        programs = {who: build_minimax_lp(build_sunk_cost(game), perspective).program
+                    for who, game in programs.items()}
+        plain = programs.pop("none")
+        for who, program in programs.items():
+            for field in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(program.a, field), getattr(plain.a, field))
+            assert np.array_equal(program.row_lower, plain.row_lower)
+            own = who == perspective
+            assert np.array_equal(program.objective, plain.objective) != own
+            assert np.array_equal(program.row_upper, plain.row_upper) == own
 
     def test_assembly_deterministic(self, example_game):
         sunk = build_sunk_cost(example_game)
@@ -206,6 +242,18 @@ def _games(family):
     return [random_game(rng, n_max=3, d_max=5, increments=increments) for _ in range(20)]
 
 
+def _own_costs(game, player):
+    """``player``'s own cost of each assignment, per battlefield of the
+    sunk-cost game: its assignment costs, then on the unspent-resources
+    battlefield the obtainment cost of what an assignment t leaves obtained."""
+    if player == "A":
+        assign, obtain, d = game.assign_costs_a, game.obtain_cost_a, game.budget_a
+    else:
+        assign, obtain, d = game.assign_costs_b, game.obtain_cost_b, game.budget_b
+    return [[c(t) for t in range(d + 1)] for c in assign] + [
+        [obtain(d - t) for t in range(d + 1)]]
+
+
 class TestAssembledMatrix:
     """The constraint matrix is the CSR matrix scipy builds from the same
     triplets with its zeros eliminated, and HiGHS holds it column-wise with
@@ -252,14 +300,7 @@ class TestAssembledMatrix:
                 assert backend.solve(program).status == "optimal"
                 held = backend._highs.getLp()
                 a = program.a
-                expected = sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape, copy=True)
-                # HiGHS drops entries at or below its small_matrix_value (1e-9)
-                # when the model is passed in: some payoff cells of decimal
-                # games are float residues of 1e-16 where the exact payoff is 0
-                _, small = backend._highs.getOptionValue("small_matrix_value")
-                expected.data[np.abs(expected.data) <= small] = 0.0
-                expected.eliminate_zeros()
-                expected = expected.tocsc()
+                expected = sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape).tocsc()
                 matrix = held.a_matrix_
                 assert (matrix.num_row_, matrix.num_col_) == expected.shape
                 for got, want in ((matrix.start_, expected.indptr),
@@ -278,10 +319,11 @@ class TestAssembledMatrix:
                 assert a.nnz == len(a.data) and np.all(a.data != 0.0)
 
     def test_sweep_lp_nonzeros(self):
-        # 34,647 triplets; the 205 zeros are the 41 cells a == b of each of
-        # the five battlefields' payoff tables, the unspent-resources one too
+        # 32,966 triplets; the 164 zeros are the 41 cells a == b of each of
+        # the four battlefields' sign valuations: the unspent-resources
+        # battlefield has no valuation, so its payoff rows store no table
         a = build_minimax_lp(build_sunk_cost(sweep_point_game(4, 40, 40, 9.75)), "A").program.a
-        assert a.shape == (4962, 4962) and a.nnz == 34442
+        assert a.shape == (4962, 4962) and a.nnz == 32802
 
 
 class TestSolve:

@@ -4,6 +4,7 @@ import pytest
 
 from costblotto import (
     InvalidStrategyError,
+    SunkCostGame,
     build_sunk_cost,
     enumerate_strategies,
     map_strategy,
@@ -109,6 +110,31 @@ class TestBuildSunkCost:
                     assert sunk.valuations_hat[i][a][b] == game.valuations[i].rows[a][b]
         assert all(
             x == 0 for row in sunk.valuations_hat[game.n] for x in row)
+
+
+class TestSunkCostGameParts:
+    def test_parts_of_a_game(self, example_game):
+        sunk = build_sunk_cost(example_game)
+        assert sunk.valuations == tuple(v.rows for v in example_game.valuations) + (None,)
+        # own costs: none for assigning, g(t) = t on the 2 - a obtained
+        assert sunk.costs_a == sunk.costs_b == ((0, 0, 0), (0, 0, 0), (2, 1, 0))
+
+    def test_full_tables_alone_have_zero_costs(self):
+        tables = (((0, -1), (1, 0)), ((2, 0), (0, 2)))
+        sunk = SunkCostGame(n_hat=2, budget_a=1, budget_b=1, valuations_hat=tables)
+        assert sunk.valuations == sunk.valuations_hat == tables
+        assert sunk.costs_a == sunk.costs_b == ((0, 0), (0, 0))
+
+    @pytest.mark.parametrize("fields", [
+        {"valuations_hat": ((((0,),),)), "costs_a": ((0,),)},
+        {"valuations": ((((0,),),)), "costs_a": ((0,),)},
+        {"valuations_hat": (None,)},
+        {},
+        {"valuations": (None,), "costs_a": ((0, 0),), "costs_b": ((0,),)},
+    ], ids=["both-forms", "no-costs-b", "hat-without-table", "nothing", "row-too-long"])
+    def test_malformed_rejected(self, fields):
+        with pytest.raises(ValueError):
+            SunkCostGame(n_hat=1, budget_a=0, budget_b=0, **fields)
 
 
 class TestStrategyMapping:

@@ -388,6 +388,22 @@ class TestRefusedModel:
             assert sol.message.startswith("HiGHS refused the model")
         assert backend.solve(lp).objective == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_dropped_entry(self, method):
+        # HiGHS takes the model but drops an entry at or below its
+        # small_matrix_value (1e-9): it would solve another LP
+        lp = small_lp()
+        data = lp.a.data.copy()
+        data[1] = 1e-10
+        bad = dataclasses.replace(lp, a=CsrMatrix(lp.a.shape, lp.a.indptr, lp.a.indices, data))
+        backend = ScipyHighsBackend(method)
+        for _ in range(2):
+            sol = backend.solve(bad)
+            assert sol.status == NUMERIC_FAILURE and sol.x is None
+            assert sol.message == ("HiGHS holds 2 of the LP's 3 matrix entries: it dropped "
+                                   "those at or below its small_matrix_value (1e-09)")
+        assert backend.solve(lp).objective == pytest.approx(3.0)
+
 
 class TestBackendReuse:
     """One backend per method serves every caller in a process; what one
