@@ -23,8 +23,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .game import CostBlottoGame, _check_player
-from .reduction import SunkCostGame, build_sunk_cost
+from .game import CostBlottoGame
+from .reduction import SunkCostGame, build_sunk_cost, oriented_valuations
 from .solver import (OPTIMAL, BackendSolution, CsrMatrix, LinearProgram, SolverFailureError,
                      get_backend)
 
@@ -208,17 +208,13 @@ def build_minimax_lp(sunk: SunkCostGame, perspective: str = "A") -> MinimaxLP:
     priced at its expected valuation plus the opponent's own cost.  At the
     optimum the objective is the game value seen from ``perspective``.
     """
-    _check_player(perspective)
     n_hat = sunk.n_hat
-    # A's view: the battlefields with a valuation, their tables w, and each
-    # player's own costs; B's view negates and transposes the tables
-    fields = np.flatnonzero([t is not None for t in sunk.valuations])
-    w = np.array([t for t in sunk.valuations if t is not None], dtype=float).reshape(
-        len(fields), sunk.budget_a + 1, sunk.budget_b + 1)
-    c_self, c_opp = np.array(sunk.costs_a, dtype=float), np.array(sunk.costs_b, dtype=float)
-    if perspective == "B":
-        w, c_self, c_opp = -w.transpose(0, 2, 1), c_opp, c_self
-    d_self, d_opp = w.shape[1] - 1, w.shape[2] - 1
+    d_self, d_opp, tables, c_self, c_opp = oriented_valuations(sunk, perspective)
+    # the battlefields with a valuation and their tables w
+    fields = np.flatnonzero([t is not None for t in tables])
+    w = np.array([t for t in tables if t is not None], dtype=float).reshape(
+        len(fields), d_self + 1, d_opp + 1)
+    c_self, c_opp = np.array(c_self, dtype=float), np.array(c_opp, dtype=float)
     gs = LayeredGraph(n_hat, d_self)
     go = LayeredGraph(n_hat, d_opp)
 

@@ -1,14 +1,14 @@
 """Reduction of a contest with costs to an all-pay sunk-cost contest.
 
-Both cost kinds can be folded into battlefield valuations once budgets are
-treated as sunk: assignment costs move into each battlefield's valuation, and
-an extra battlefield absorbs the obtainment costs.  Each player "assigns" its
-unspent resources to the extra battlefield, so full assignments of the whole
-budget over ``n + 1`` battlefields correspond one-to-one with partial
-assignments over the original ``n``.  A player's costs depend on its own
-assignment only, so the sunk-cost game keeps them apart from the valuations,
-which alone couple the two players, and folds them in once for the readers
-of full payoff tables.
+Both cost kinds become parts of battlefield payoffs once budgets are treated
+as sunk: assignment costs stay on their battlefields, and an extra
+battlefield carries the obtainment costs.  Each player "assigns" its unspent
+resources to the extra battlefield, so full assignments of the whole budget
+over ``n + 1`` battlefields correspond one-to-one with partial assignments
+over the original ``n``.  A player's costs depend on its own assignment only,
+so the sunk-cost game keeps them apart from the valuations, which alone
+couple the two players; :func:`oriented_valuations` is the one place that
+says how player B sees those parts.
 """
 
 from __future__ import annotations
@@ -40,20 +40,15 @@ class SunkCostGame:
     costs_b[i][b]`` when A assigns ``a`` and B assigns ``b``, over
     ``0..budget_a`` and ``0..budget_b``: a valuation, which couples the two
     players, and each player's own cost of its own assignment.  A battlefield
-    whose valuation is ``None`` pays the costs alone.  ``valuations_hat[i]``
-    is battlefield ``i``'s full payoff table to A, indexed ``[a][b]`` and
-    folded once at construction.  A game built from ``valuations_hat`` alone
-    has zero costs, and those tables are its valuations.  The game is zero
-    sum.
+    whose valuation is ``None`` pays the costs alone.  The game is zero sum.
     """
 
     n_hat: int
     budget_a: int
     budget_b: int
-    valuations_hat: tuple[ValueTable, ...] | None = None
-    valuations: tuple[ValueTable | None, ...] | None = None
-    costs_a: tuple[CostRow, ...] | None = None
-    costs_b: tuple[CostRow, ...] | None = None
+    valuations: tuple[ValueTable | None, ...]
+    costs_a: tuple[CostRow, ...]
+    costs_b: tuple[CostRow, ...]
 
     def __post_init__(self):
         if not isinstance(self.n_hat, int) or self.n_hat < 1:
@@ -62,51 +57,20 @@ class SunkCostGame:
             raise ValueError(
                 f"budgets must be nonnegative ints, got {self.budget_a!r}, {self.budget_b!r}"
             )
-        parts = (self.valuations, self.costs_a, self.costs_b)
-        by_hand = self.valuations_hat is not None
-        if any(p is not None for p in parts) if by_hand else None in parts:
-            raise ValueError("give either valuations_hat alone or valuations, costs_a "
-                             "and costs_b")
         da, db = self.budget_a, self.budget_b
-        if by_hand:
-            tables = self._tables("valuations_hat", self.valuations_hat)
-            if None in tables:
-                raise ValueError("valuations_hat must be full tables")
-            costs_a, costs_b = ((0,) * (da + 1),) * self.n_hat, ((0,) * (db + 1),) * self.n_hat
-            folded = tables
-        else:
-            tables = self._tables("valuations", self.valuations)
-            costs_a = self._rows("costs_a", self.costs_a, da)
-            costs_b = self._rows("costs_b", self.costs_b, db)
-            folded = tuple(map(_fold, tables, costs_a, costs_b))
-        for name, value in (("valuations_hat", folded), ("valuations", tables),
-                            ("costs_a", costs_a), ("costs_b", costs_b)):
-            object.__setattr__(self, name, value)
-
-    def _tables(self, name, tables):
-        tables = tuple(None if t is None else tuple(tuple(row) for row in t) for t in tables)
+        tables = tuple(None if t is None else tuple(tuple(row) for row in t)
+                       for t in self.valuations)
         if len(tables) != self.n_hat:
-            raise ValueError(f"{name} has {len(tables)} tables, expected n_hat={self.n_hat}")
+            raise ValueError(f"valuations has {len(tables)} tables, expected n_hat={self.n_hat}")
         for i, t in enumerate(tables):
-            if t is not None and (len(t) != self.budget_a + 1
-                                  or any(len(row) != self.budget_b + 1 for row in t)):
-                raise ValueError(f"{name}[{i}] must be {self.budget_a + 1}x{self.budget_b + 1}")
-        return tables
-
-    def _rows(self, name, rows, budget):
-        rows = tuple(tuple(row) for row in rows)
-        if len(rows) != self.n_hat or any(len(row) != budget + 1 for row in rows):
-            raise ValueError(f"{name} must be {self.n_hat} rows of length {budget + 1}")
-        return rows
-
-
-def _fold(table: ValueTable | None, ca: CostRow, cb: CostRow) -> ValueTable:
-    """The full payoff table ``table[a][b] - ca[a] + cb[b]``; without a
-    table, ``-ca[a] + cb[b]``."""
-    if table is None:
-        return tuple(tuple(-ca_a + cb_b for cb_b in cb) for ca_a in ca)
-    return tuple(tuple(row_a[b] - ca_a + cb[b] for b in range(len(cb)))
-                 for row_a, ca_a in zip(table, ca))
+            if t is not None and (len(t) != da + 1 or any(len(row) != db + 1 for row in t)):
+                raise ValueError(f"valuations[{i}] must be {da + 1}x{db + 1}")
+        object.__setattr__(self, "valuations", tables)
+        for name, budget in (("costs_a", da), ("costs_b", db)):
+            rows = tuple(tuple(row) for row in getattr(self, name))
+            if len(rows) != self.n_hat or any(len(row) != budget + 1 for row in rows):
+                raise ValueError(f"{name} must be {self.n_hat} rows of length {budget + 1}")
+            object.__setattr__(self, name, rows)
 
 
 def build_sunk_cost(game: CostBlottoGame) -> SunkCostGame:
@@ -116,8 +80,9 @@ def build_sunk_cost(game: CostBlottoGame) -> SunkCostGame:
     ``ca_i`` and ``cb_i``, so it pays ``v_i(a, b) - ca_i(a) + cb_i(b)``.  The
     extra battlefield has no valuation and pays ``-ga(budget_a - a) +
     gb(budget_b - b)``, where an assignment of ``t`` to it means
-    ``budget - t`` resources were actually obtained.  Every strategy of the
-    original game keeps its zero-sum-companion payoff under
+    ``budget - t`` resources were actually obtained.  The game holds these
+    parts as the game's tables give them; no payoff table is summed.  Every
+    strategy of the original game keeps its zero-sum-companion payoff under
     :func:`map_strategy`.
     """
     # the games' cost tables span exactly 0..budget, so they are read directly
@@ -150,14 +115,20 @@ def unmap_strategy(s_hat: Iterable[int], budget: int) -> PureStrategy:
     return s_hat[:-1]
 
 
-def oriented_valuations(sunk: SunkCostGame, player: str) -> tuple[int, int, tuple[ValueTable, ...]]:
-    """Battlefield tables oriented so ``player`` is the maximizer.
+def oriented_valuations(
+    sunk: SunkCostGame, player: str
+) -> tuple[int, int, tuple[ValueTable | None, ...], tuple[CostRow, ...], tuple[CostRow, ...]]:
+    """The sunk-cost game's parts as ``player``, the maximizer, sees them.
 
-    Returns ``(budget_self, budget_opp, tables)`` with each table indexed
-    ``[own assignment][opponent assignment]``.  Player B's view is the
-    negated transpose of player A's, so a single formulation serves both.
+    Returns ``(budget_self, budget_opp, tables, costs_self, costs_opp)``:
+    battlefield ``i`` pays ``player`` ``tables[i][own][opp] -
+    costs_self[i][own] + costs_opp[i][opp]``, or the costs alone where
+    ``tables[i]`` is ``None``.  Player B's tables are the negated transposes
+    of A's, and its own costs are ``costs_b``; this is the only place B's
+    view is derived.
     """
     _check_player(player)
     if player == "A":
-        return sunk.budget_a, sunk.budget_b, sunk.valuations_hat
-    return sunk.budget_b, sunk.budget_a, tuple(negated_transpose(t) for t in sunk.valuations_hat)
+        return sunk.budget_a, sunk.budget_b, sunk.valuations, sunk.costs_a, sunk.costs_b
+    tables = tuple(None if t is None else negated_transpose(t) for t in sunk.valuations)
+    return sunk.budget_b, sunk.budget_a, tables, sunk.costs_b, sunk.costs_a

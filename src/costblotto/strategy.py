@@ -142,30 +142,31 @@ def best_response_value(
 ) -> tuple[Number, PureStrategy]:
     """Best payoff ``player`` can get against the opponent's marginals.
 
-    Dynamic program over the responder's layered graph; exact when the game
-    and marginals are rational.  Returns the value and one maximizing full
-    assignment, breaking ties toward smaller assignments battlefield by
-    battlefield.
+    Dynamic program over the responder's layered graph on the game's parts
+    as :func:`oriented_valuations` orients them: own assignment ``a`` on
+    battlefield ``i`` earns its expected valuation less its own cost, and the
+    opponent's expected own cost, which no reply changes, is added once.
+    Exact when the game and marginals are rational.  Returns the value and
+    one maximizing full assignment, breaking ties toward smaller assignments
+    battlefield by battlefield.
     """
-    d_self, d_opp, tables = oriented_valuations(sunk, player)
+    d_self, d_opp, tables, costs_self, costs_opp = oriented_valuations(sunk, player)
     if opp_marginals.n_hat != sunk.n_hat or opp_marginals.budget != d_opp:
         raise ValueError(
             f"opponent marginals have shape ({opp_marginals.n_hat}, "
             f"{opp_marginals.budget}), expected ({sunk.n_hat}, {d_opp})"
         )
     rewards = [
-        [
-            sum(m_b * tables[i][a][b]
-                for b, m_b in enumerate(opp_marginals.tables[i]))
-            for a in range(d_self + 1)
-        ]
-        for i in range(sunk.n_hat)
+        [-own[a] if table is None
+         else sum(m_b * table[a][b] for b, m_b in enumerate(m)) - own[a]
+         for a in range(d_self + 1)]
+        for table, own, m in zip(tables, costs_self, opp_marginals.tables)
     ]
     # after[i][j]: best total from battlefield i onward with j already spent;
-    # the last battlefield takes what is left (+ 0 folds -0.0 into 0.0), an
-    # earlier one a, for row[a] + after[i + 1][j + a]; max keeps the first
-    # maximum, so ties go to the smaller a
-    after = [[rewards[-1][d_self - j] + 0 for j in range(d_self + 1)]]
+    # the last battlefield takes what is left, an earlier one a, for row[a] +
+    # after[i + 1][j + a]; max keeps the first maximum, so ties go to the
+    # smaller a
+    after = [[rewards[-1][d_self - j] for j in range(d_self + 1)]]
     for row in reversed(rewards[:-1]):
         after.append([max(map(add, row, after[-1][j:])) for j in range(d_self + 1)])
     after.reverse()
@@ -177,7 +178,12 @@ def best_response_value(
         assignment.append(a)
         j += a
     assignment.append(d_self - j)
-    return after[0][0], tuple(assignment)
+    return after[0][0] + _expected_cost(costs_opp, opp_marginals), tuple(assignment)
+
+
+def _expected_cost(costs: tuple[tuple[Number, ...], ...], marginals: Marginals) -> Number:
+    """A player's expected own cost over its per-battlefield marginals."""
+    return sum(p * c for row, m in zip(costs, marginals.tables) for c, p in zip(row, m))
 
 
 def certify_equilibrium(
@@ -206,15 +212,15 @@ def certify_equilibrium(
     )
     marg_a = marginals_from_mixed(mapped_a, game.budget_a)
     marg_b = marginals_from_mixed(mapped_b, game.budget_b)
-    # independence across players makes the expected payoff bilinear in the
-    # per-battlefield marginals
+    # independence across players makes the expected valuation bilinear in
+    # the per-battlefield marginals; each player's own cost is linear in its own
     realized = sum(
-        p_a * p_b * sunk.valuations_hat[i][a][b]
-        for i in range(sunk.n_hat)
-        for a, p_a in enumerate(marg_a.tables[i])
-        for b, p_b in enumerate(marg_b.tables[i])
-        if p_a and p_b
-    )
+        p_a * p_b * table[a][b]
+        for table, row_a, row_b in zip(sunk.valuations, marg_a.tables, marg_b.tables)
+        if table is not None
+        for a, p_a in enumerate(row_a) if p_a
+        for b, p_b in enumerate(row_b) if p_b
+    ) - _expected_cost(sunk.costs_a, marg_a) + _expected_cost(sunk.costs_b, marg_b)
     br_a, _ = best_response_value(sunk, marg_b, "A")
     br_b, _ = best_response_value(sunk, marg_a, "B")
     gap_a = br_a - realized

@@ -135,3 +135,24 @@ def decimal_step_game(rng: random.Random, weight, step: float) -> CostBlottoGame
         obtain_cost_a=cost(d_a),
         obtain_cost_b=cost(d_b),
     )
+
+
+def own_cost_rows(game, player):
+    """``player``'s own cost of each assignment per battlefield of the
+    sunk-cost game, through the cost functions: its assignment costs, then
+    the obtainment cost of the ``budget - t`` an unspent ``t`` leaves."""
+    if player == "A":
+        assign, obtain, d = game.assign_costs_a, game.obtain_cost_a, game.budget_a
+    else:
+        assign, obtain, d = game.assign_costs_b, game.obtain_cost_b, game.budget_b
+    return tuple(tuple(c(t) for t in range(d + 1)) for c in assign) + (
+        tuple(obtain(d - t) for t in range(d + 1)),)
+
+
+def sunk_payoff(sunk, s_a, s_b):
+    """A's payoff of a full-assignment profile in a sunk-cost game, summed
+    from its parts: ``valuations[i][a][b] - costs_a[i][a] + costs_b[i][b]``
+    per battlefield, with no valuation term where the table is ``None``."""
+    return sum((0 if table is None else table[a][b]) - ca[a] + cb[b]
+               for table, ca, cb, a, b in zip(sunk.valuations, sunk.costs_a, sunk.costs_b,
+                                              s_a, s_b))

@@ -34,8 +34,8 @@ from costblotto.config import parse_game_config, sweep_point_game
 from costblotto.minimax import _optimal_face, _solve_with_face, _statistic_objective
 from costblotto.solver import CsrMatrix, ScipyHighsBackend, get_backend
 from costblotto.strategy import best_response_value
-from conftest import (DECIMAL_INCREMENTS, example_one, flow_from_mixed, path_edges, point_mass,
-                      random_game, strategies)
+from conftest import (DECIMAL_INCREMENTS, example_one, flow_from_mixed, own_cost_rows, path_edges,
+                      point_mass, random_game, strategies)
 from scipy.optimize import linprog
 
 S_STAR = {(0, 0), (0, 1), (1, 0), (1, 1)}
@@ -165,7 +165,7 @@ class TestBuildMinimaxLp:
         for game in _games(family):
             for perspective in "AB":
                 model = build_minimax_lp(build_sunk_cost(game), perspective)
-                own = _own_costs(game, perspective)
+                own = own_cost_rows(game, perspective)
                 expected = np.zeros(model.num_vars)
                 expected[model.marginal_slice] = [-float(c) for row in own for c in row]
                 expected[model.value_index] = 1.0
@@ -240,18 +240,6 @@ def _games(family):
     rng = random.Random(3)
     increments = DECIMAL_INCREMENTS if family == "criterion-3-decimal" else None
     return [random_game(rng, n_max=3, d_max=5, increments=increments) for _ in range(20)]
-
-
-def _own_costs(game, player):
-    """``player``'s own cost of each assignment, per battlefield of the
-    sunk-cost game: its assignment costs, then on the unspent-resources
-    battlefield the obtainment cost of what an assignment t leaves obtained."""
-    if player == "A":
-        assign, obtain, d = game.assign_costs_a, game.obtain_cost_a, game.budget_a
-    else:
-        assign, obtain, d = game.assign_costs_b, game.obtain_cost_b, game.budget_b
-    return [[c(t) for t in range(d + 1)] for c in assign] + [
-        [obtain(d - t) for t in range(d + 1)]]
 
 
 class TestAssembledMatrix:
@@ -338,7 +326,9 @@ class TestSolve:
             n_hat=3,
             budget_a=2,
             budget_b=2,
-            valuations_hat=tuple(((0,) * 3,) * 3 for _ in range(3)),
+            valuations=(((0,) * 3,) * 3, ((0,) * 3,) * 3, None),
+            costs_a=((0,) * 3,) * 3,
+            costs_b=((0,) * 3,) * 3,
         )
         result = solve(build_minimax_lp(sunk, "A"))
         assert result.status == "optimal"
@@ -349,7 +339,7 @@ class TestSolve:
         zero_table = ((0, 0), (0, 0))
         sunk = SunkCostGame(
             n_hat=2, budget_a=1, budget_b=1,
-            valuations_hat=(sign_table, zero_table))
+            valuations=(sign_table, zero_table), costs_a=((0, 0),) * 2, costs_b=((0, 0),) * 2)
         result = solve(build_minimax_lp(sunk, "A"))
         assert result.status == "optimal"
         assert abs(result.value) <= 1e-9

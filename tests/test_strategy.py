@@ -21,9 +21,10 @@ from costblotto import (
     marginals_from_flow,
     marginals_from_mixed,
     mix_strategies,
+    payoff_zero,
     solve,
 )
-from conftest import flow_from_mixed, point_mass, random_game
+from conftest import flow_from_mixed, point_mass, random_game, sunk_payoff
 
 S_STAR = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -123,14 +124,47 @@ def point_mass_marginals(s_hat, budget):
     return marginals_from_mixed(point_mass(s_hat), budget)
 
 
+def random_parts(rng, n_hat, d_a, d_b, value, cost):
+    """A sunk-cost game of ``value()`` valuation cells and ``cost()`` own-cost
+    entries for both players; with two or more battlefields, one has no
+    valuation."""
+    bare = rng.randrange(n_hat) if n_hat > 1 else None
+    return SunkCostGame(
+        n_hat=n_hat, budget_a=d_a, budget_b=d_b,
+        valuations=tuple(
+            None if i == bare
+            else tuple(tuple(value() for _ in range(d_b + 1)) for _ in range(d_a + 1))
+            for i in range(n_hat)),
+        costs_a=tuple(tuple(cost() for _ in range(d_a + 1)) for _ in range(n_hat)),
+        costs_b=tuple(tuple(cost() for _ in range(d_b + 1)) for _ in range(n_hat)))
+
+
+def brute_force_reply(sunk, opp, player):
+    """The best value and the first maximizing full assignment of ``player``
+    against the mixed strategy ``opp``, over every reply in lexicographic
+    order, each priced from the game's parts profile by profile."""
+    def value(s):
+        return sum(p * (sunk_payoff(sunk, s, s_o) if player == "A" else -sunk_payoff(sunk, s_o, s))
+                   for s_o, p in opp.support)
+    d_self = sunk.budget_a if player == "A" else sunk.budget_b
+    replies = enumerate_strategies(d_self, sunk.n_hat, full=True)
+    best = max(value(s) for s in replies)
+    return best, next(s for s in replies if value(s) == best)
+
+
 class TestBestResponse:
     def test_zero_game_tie_break(self):
+        # no valuation moves A's payoff, and A's own cost is the same for
+        # every assignment: all replies tie, and the smallest wins; B's own
+        # costs of its point mass (0, 0, 2) shift the value only
         sunk = SunkCostGame(
             n_hat=3, budget_a=4, budget_b=2,
-            valuations_hat=tuple(((0,) * 3,) * 5 for _ in range(3)))
+            valuations=(((0,) * 3,) * 5, ((0,) * 3,) * 5, None),
+            costs_a=((Fraction(1, 2),) * 5, (0,) * 5, (Fraction(1, 4),) * 5),
+            costs_b=((Fraction(1, 4), 0, 0), (Fraction(1, 8), 0, 0), (0, 1, 2)))
         value, br = best_response_value(
             sunk, point_mass_marginals((0, 0, 2), 2), "A")
-        assert value == 0
+        assert value == Fraction(1, 4) + Fraction(1, 8) + 2 - Fraction(1, 2) - Fraction(1, 4)
         assert br == (0, 0, 4)
 
     def test_example_vs_idle_opponent(self, example_game):
@@ -151,63 +185,37 @@ class TestBestResponse:
     def test_matches_exhaustive_search(self, seed):
         rng = random.Random(1200 + seed)
         n_hat = rng.randint(2, 4)
-        d_self = rng.randint(0, 6)
-        d_opp = rng.randint(0, 4)
-        tables = tuple(
-            tuple(
-                tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 4))
-                      for _ in range(d_opp + 1))
-                for _ in range(d_self + 1))
-            for _ in range(n_hat))
-        sunk = SunkCostGame(
-            n_hat=n_hat, budget_a=d_self, budget_b=d_opp, valuations_hat=tables)
-        pool = enumerate_strategies(d_opp, n_hat, full=True)
-        support = rng.sample(pool, min(3, len(pool)))
-        weights = [Fraction(rng.randint(1, 3)) for _ in support]
-        total = sum(weights)
-        opp = MixedStrategy(support=tuple(
-            (s, w / total) for s, w in zip(support, weights)))
-        opp_marginals = marginals_from_mixed(opp, d_opp)
-        value, br = best_response_value(sunk, opp_marginals, "A")
-        def reply_value(s):
-            return sum(
-                p * tables[i][s[i]][b]
-                for i in range(n_hat)
-                for b, p in enumerate(opp_marginals.tables[i]))
-        best = max(
-            reply_value(s) for s in enumerate_strategies(d_self, n_hat, full=True))
-        assert value == best
-        assert reply_value(br) == best
+        d_a, d_b = rng.randint(0, 5), rng.randint(0, 5)
+        sunk = random_parts(rng, n_hat, d_a, d_b,
+                            lambda: Fraction(rng.randint(-8, 8), rng.randint(1, 4)),
+                            lambda: Fraction(rng.randint(0, 6), rng.randint(1, 3)))
+        for player, d_opp in (("A", d_b), ("B", d_a)):
+            pool = enumerate_strategies(d_opp, n_hat, full=True)
+            support = rng.sample(pool, min(3, len(pool)))
+            weights = [Fraction(rng.randint(1, 3)) for _ in support]
+            opp = MixedStrategy(support=tuple(
+                (s, w / sum(weights)) for s, w in zip(support, weights)))
+            assert (best_response_value(sunk, marginals_from_mixed(opp, d_opp), player)
+                    == brute_force_reply(sunk, opp, player))
 
     @pytest.mark.parametrize("player", ["A", "B"])
     @pytest.mark.parametrize("seed", range(12))
     def test_lexicographically_smallest_maximizer(self, seed, player):
-        # small integer payoffs and point-mass-heavy marginals make ties common
+        # small payoffs and costs and point-mass-heavy opponents make ties
+        # common
         rng = random.Random(1300 + seed)
         n_hat = 1 if seed < 2 else rng.randint(2, 4)
         d_a, d_b = rng.randint(0, 4), rng.randint(0, 4)
-        tables = tuple(
-            tuple(tuple(Fraction(rng.choice((-1, 0, 0, 1))) for _ in range(d_b + 1))
-                  for _ in range(d_a + 1))
-            for _ in range(n_hat))
-        sunk = SunkCostGame(n_hat=n_hat, budget_a=d_a, budget_b=d_b,
-                            valuations_hat=tables)
-        d_self, d_opp = (d_a, d_b) if player == "A" else (d_b, d_a)
+        sunk = random_parts(rng, n_hat, d_a, d_b,
+                            lambda: Fraction(rng.choice((-1, 0, 0, 1))),
+                            lambda: Fraction(rng.choice((0, 0, 1, 2)), 2))
+        d_opp = d_b if player == "A" else d_a
         pool = enumerate_strategies(d_opp, n_hat, full=True)
         support = rng.sample(pool, min(rng.randint(1, 2), len(pool)))
         opp = MixedStrategy(support=tuple(
             (s, Fraction(1, len(support))) for s in support))
-        opp_marginals = marginals_from_mixed(opp, d_opp)
-
-        def reply_value(s):
-            return sum(
-                p * (tables[i][s[i]][b] if player == "A" else -tables[i][b][s[i]])
-                for i in range(n_hat)
-                for b, p in enumerate(opp_marginals.tables[i]))
-        replies = enumerate_strategies(d_self, n_hat, full=True)
-        best = max(reply_value(s) for s in replies)
-        first = next(s for s in replies if reply_value(s) == best)
-        assert best_response_value(sunk, opp_marginals, player) == (best, first)
+        assert (best_response_value(sunk, marginals_from_mixed(opp, d_opp), player)
+                == brute_force_reply(sunk, opp, player))
 
 
 class TestCertifyEquilibrium:
@@ -277,3 +285,23 @@ class TestCertifyEquilibrium:
             point_mass(rng.choice(pool_b)))
         assert gap_a >= -1e-9
         assert gap_b >= -1e-9
+
+    def test_realized_payoff_is_expected_payoff(self):
+        # the payoff the gaps are measured from is A's expected companion
+        # payoff over both supports, exactly on a Fraction game
+        rng = random.Random(1400)
+        game = random_game(rng, n_max=3, d_max=4, exact=True)
+        xi_a, xi_b = (MixedStrategy(support=tuple(
+            (s, Fraction(1, 3)) for s in rng.sample(enumerate_strategies(d, game.n), 3)))
+            for d in (game.budget_a, game.budget_b))
+        _, gap_a, gap_b = certify_equilibrium(game, xi_a, xi_b)
+        expected = sum(p_a * p_b * payoff_zero(game, s_a, s_b)
+                       for s_a, p_a in xi_a.support for s_b, p_b in xi_b.support)
+        sunk = build_sunk_cost(game)
+        mapped_a, mapped_b = (MixedStrategy(support=tuple(
+            (map_strategy(s, d), p) for s, p in xi.support))
+            for xi, d in ((xi_a, game.budget_a), (xi_b, game.budget_b)))
+        br_a, _ = best_response_value(sunk, marginals_from_mixed(mapped_b, game.budget_b), "A")
+        br_b, _ = best_response_value(sunk, marginals_from_mixed(mapped_a, game.budget_a), "B")
+        assert br_a - gap_a == expected
+        assert gap_b - br_b == expected
