@@ -3,8 +3,11 @@
 
 Setting "linear": sign valuations, linear obtainment cost with coefficient
 1/20, no assignment costs.  Setting "quadratic": squared assignment costs
-with coefficient 0.01, no obtainment cost.  Times the full pipeline
-(build + solve) per instance and prints one table row per size.
+with coefficient 0.01, no obtainment cost.  Times the path ``costblotto
+solve`` takes per instance, ``cli._solve_game``: the sunk-cost game, the
+equilibrium (by edge generation from ``cli.GENERATE_FROM_BATTLEFIELDS``
+battlefields on, so at every size here) and both players' path
+decompositions.  Prints one table row per size.
 """
 import argparse
 import time
@@ -14,10 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from costblotto import (  # noqa: E402
-    CostBlottoGame, CostFunction, Valuation,
-    build_minimax_lp, build_sunk_cost, solve,
-)
+from costblotto import CostBlottoGame, CostFunction, Valuation, cli  # noqa: E402
 
 SIZES = [(10, 30, 30), (10, 30, 50), (10, 50, 50),
          (20, 30, 30), (20, 30, 50), (20, 50, 50),
@@ -44,9 +44,8 @@ def time_solve(game, repeats):
     value = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        result = solve(build_minimax_lp(build_sunk_cost(game), "A"))
+        result, _, _ = cli._solve_game(game)
         best = min(best, time.perf_counter() - t0)
-        assert result.status == "optimal", result.status
         value = result.value
     return best, value
 

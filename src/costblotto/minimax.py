@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .game import CostBlottoGame
-from .reduction import SunkCostGame, build_sunk_cost, oriented_valuations
+from .reduction import SunkCostGame, build_sunk_cost, oriented_arrays
 from .solver import (OPTIMAL, BackendSolution, CsrMatrix, LinearProgram, SolverFailureError,
                      get_backend)
 
@@ -65,7 +65,13 @@ class LayeredGraph:
         self.edge_field = np.repeat(np.arange(1, n_hat + 1), self.edges_per_layer)
         self.edge_tail = np.tile(layer_tail, n_hat)
         self.edge_assign = np.tile(layer_assign, n_hat)
-        for arr in (self.edge_field, self.edge_tail, self.edge_assign, self._offsets):
+        # per edge, the index i * (budget + 1) + a of its battlefield i and
+        # assignment a among the flattened marginals
+        self.edge_marginal = (self.edge_field - 1) * (d + 1) + self.edge_assign
+        self._tails = (self.edge_field - 1) * (d + 1) + self.edge_tail
+        self._heads = self._tails + d + 1 + self.edge_assign
+        for arr in (self.edge_field, self.edge_tail, self.edge_assign, self._offsets,
+                    self.edge_marginal, self._tails, self._heads):
             arr.flags.writeable = False
 
     @property
@@ -89,11 +95,18 @@ class LayeredGraph:
         must exist: ``1 <= field <= n_hat`` and ``tail + assign <= budget``."""
         return (field - 1) * self.edges_per_layer + int(self._offsets[tail]) + assign
 
+    def path_edges(self, assignment) -> np.ndarray:
+        """The edges of the source-to-sink path of a full assignment."""
+        assignment = np.asarray(assignment, dtype=np.int64)
+        spent = np.cumsum(assignment) - assignment
+        return (np.arange(self.n_hat) * self.edges_per_layer + self._offsets[spent]
+                + assignment)
+
     def tail_nodes(self) -> np.ndarray:
-        return (self.edge_field - 1) * (self.budget + 1) + self.edge_tail
+        return self._tails
 
     def head_nodes(self) -> np.ndarray:
-        return self.edge_field * (self.budget + 1) + self.edge_tail + self.edge_assign
+        return self._heads
 
     def __eq__(self, other):
         return (isinstance(other, LayeredGraph)
@@ -208,96 +221,181 @@ def build_minimax_lp(sunk: SunkCostGame, perspective: str = "A") -> MinimaxLP:
     priced at its expected valuation plus the opponent's own cost.  At the
     optimum the objective is the game value seen from ``perspective``.
     """
-    n_hat = sunk.n_hat
-    d_self, d_opp, tables, c_self, c_opp = oriented_valuations(sunk, perspective)
-    # the battlefields with a valuation and their tables w
-    fields = np.flatnonzero([t is not None for t in tables])
-    w = np.array([t for t in tables if t is not None], dtype=float).reshape(
-        len(fields), d_self + 1, d_opp + 1)
-    c_self, c_opp = np.array(c_self, dtype=float), np.array(c_opp, dtype=float)
-    gs = LayeredGraph(n_hat, d_self)
-    go = LayeredGraph(n_hat, d_opp)
-
-    e_s, v_s = gs.num_edges, gs.num_nodes
-    e_o, v_o = go.num_edges, go.num_nodes
-    n_marg = n_hat * (d_self + 1)
-    n_pay = n_hat * (d_opp + 1)
-    col_f = 0
-    col_h = e_s
-    col_q = col_h + n_marg
-    col_pi = col_q + n_pay
-    col_t = col_pi + v_o
-    num_vars = col_t + 1
-    row_node = e_o + 1  # the equalities follow the e_o + 1 <= rows
-    row_marg = row_node + v_s
-    row_pay = row_marg + n_marg
-    num_rows = row_pay + n_pay
-
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(np.asarray(r, dtype=np.int64))
-        cols.append(np.asarray(c, dtype=np.int64))
-        vals.append(np.asarray(v, dtype=float))
-
-    # unit-flow conservation at every node of the perspective player's graph
-    edge_ids = np.arange(e_s)
-    add(row_node + gs.head_nodes(), edge_ids, np.ones(e_s))
-    add(row_node + gs.tail_nodes(), edge_ids, -np.ones(e_s))
-    # marginals: h[i, a] equals the total flow on layer i's assignment-a edges
-    marg_of_edge = row_marg + (gs.edge_field - 1) * (d_self + 1) + gs.edge_assign
-    add(marg_of_edge, edge_ids, -np.ones(e_s))
-    add(row_marg + np.arange(n_marg), col_h + np.arange(n_marg), np.ones(n_marg))
-    # expected payoffs: q[i, b] equals sum_a w[k, a, b] * h[i, a] on the
-    # k-th battlefield i with a valuation, and 0 on the others
-    add(row_pay + np.arange(n_pay), col_q + np.arange(n_pay), np.ones(n_pay))
-    k_idx = np.repeat(np.arange(len(fields)), (d_opp + 1) * (d_self + 1))
-    b_idx = np.tile(np.repeat(np.arange(d_opp + 1), d_self + 1), len(fields))
-    a_idx = np.tile(np.arange(d_self + 1), len(fields) * (d_opp + 1))
-    add(row_pay + fields[k_idx] * (d_opp + 1) + b_idx,
-        col_h + fields[k_idx] * (d_self + 1) + a_idx,
-        -w[k_idx, a_idx, b_idx])
-    # opponent potentials: pi[head] <= pi[tail] + q[i, b] + c_opp[i, b]
-    # along every edge, the opponent's own cost as the row's bound
-    opp_rows = np.arange(e_o)
-    add(opp_rows, col_pi + go.head_nodes(), np.ones(e_o))
-    add(opp_rows, col_pi + go.tail_nodes(), -np.ones(e_o))
-    add(opp_rows, col_q + (go.edge_field - 1) * (d_opp + 1) + go.edge_assign,
-        -np.ones(e_o))
-    # the value never exceeds the opponent's sink potential
-    add([e_o], [col_t], [1.0])
-    add([e_o], [col_pi + go.sink], [-1.0])
-
-    # zero valuation cells (a sign valuation's ties among them) are not stored
-    a = CsrMatrix.from_triplets((num_rows, num_vars), np.concatenate(rows),
-                                np.concatenate(cols), np.concatenate(vals))
-
-    row_upper = np.zeros(num_rows)
-    row_upper[:e_o] = c_opp[go.edge_field - 1, go.edge_assign]
-    row_upper[row_node + gs.source] = -1.0
-    row_upper[row_node + gs.sink] = 1.0
-    row_lower = row_upper.copy()
-    row_lower[:row_node] = -np.inf
-
-    lower = np.zeros(num_vars)
-    upper = np.full(num_vars, np.inf)
-    lower[col_q:] = -np.inf
-    lower[col_pi + go.source] = upper[col_pi + go.source] = 0.0
-
-    objective = np.zeros(num_vars)
-    objective[col_h:col_q] = -c_self.ravel()
-    objective[col_t] = 1.0
-
-    program = LinearProgram(sense="max", objective=objective, a=a, row_lower=row_lower,
-                            row_upper=row_upper, lower=lower, upper=upper)
+    tables, _, _ = oriented_arrays(sunk, perspective)
+    gs = LayeredGraph(sunk.n_hat, tables.shape[1] - 1)
+    go = LayeredGraph(sunk.n_hat, tables.shape[2] - 1)
+    layout = _Layout.full(gs, go)
+    program = _assemble(layout, gs, go, sunk, perspective)
     return MinimaxLP(
         program=program,
         graph_self=gs,
         graph_opp=go,
-        flow_slice=slice(0, e_s),
-        marginal_slice=slice(col_h, col_h + n_marg),
-        value_index=col_t,
+        flow_slice=slice(0, gs.num_edges),
+        marginal_slice=slice(gs.num_edges, gs.num_edges + layout.marginal_col.size),
+        value_index=layout.value_col,
     )
+
+
+@dataclass
+class _Layout:
+    """Where a minimax LP places its parts: per index of each part, its
+    column or row in the LP, or -1 where the LP leaves the part out.
+
+    Flow columns are per own edge and conservation rows per own node; the
+    marginal column and row of battlefield ``i`` and own assignment ``a`` sit
+    at index ``i * (budget_self + 1) + a``, the expected-payoff column and row
+    of opponent assignment ``b`` at ``i * (budget_opp + 1) + b``; potential
+    columns are per opponent node and potential rows per opponent edge."""
+
+    flow_col: np.ndarray
+    node_row: np.ndarray
+    marginal_col: np.ndarray
+    marginal_row: np.ndarray
+    payoff_col: np.ndarray
+    payoff_row: np.ndarray
+    potential_col: np.ndarray
+    potential_row: np.ndarray
+    value_col: int = -1
+    value_row: int = -1
+    num_cols: int = 0
+    num_rows: int = 0
+
+    @classmethod
+    def empty(cls, gs: LayeredGraph, go: LayeredGraph) -> "_Layout":
+        n_marg = gs.n_hat * (gs.budget + 1)
+        n_pay = go.n_hat * (go.budget + 1)
+        return cls(*(np.full(size, -1, dtype=np.int64) for size in (
+            gs.num_edges, gs.num_nodes, n_marg, n_marg, n_pay, n_pay, go.num_nodes,
+            go.num_edges)))
+
+    @classmethod
+    def full(cls, gs: LayeredGraph, go: LayeredGraph) -> "_Layout":
+        """Every part, the columns in the order flows, marginals, expected
+        payoffs, potentials, value, and the rows in the order potential
+        rows, value row, conservation, marginals, expected payoffs."""
+        n_marg = gs.n_hat * (gs.budget + 1)
+        n_pay = go.n_hat * (go.budget + 1)
+        col_h = gs.num_edges
+        col_q = col_h + n_marg
+        col_pi = col_q + n_pay
+        col_t = col_pi + go.num_nodes
+        row_node = go.num_edges + 1  # the equalities follow the <= rows
+        row_marg = row_node + gs.num_nodes
+        row_pay = row_marg + n_marg
+        return cls(flow_col=np.arange(gs.num_edges),
+                   node_row=row_node + np.arange(gs.num_nodes),
+                   marginal_col=col_h + np.arange(n_marg),
+                   marginal_row=row_marg + np.arange(n_marg),
+                   payoff_col=col_q + np.arange(n_pay),
+                   payoff_row=row_pay + np.arange(n_pay),
+                   potential_col=col_pi + np.arange(go.num_nodes),
+                   potential_row=np.arange(go.num_edges),
+                   value_col=col_t, value_row=go.num_edges,
+                   num_cols=col_t + 1, num_rows=row_pay + n_pay)
+
+    def place(self, gs: LayeredGraph, go: LayeredGraph, own_edges: np.ndarray,
+              opp_edges: np.ndarray) -> bool:
+        """Give the own edges ``own_edges`` and opponent edges ``opp_edges``,
+        and every part they touch, the next free columns and rows, after all
+        parts already placed; the value column and row come first.  Whether
+        any edge was new."""
+        own_edges = own_edges[self.flow_col[own_edges] < 0]
+        opp_edges = opp_edges[self.potential_row[opp_edges] < 0]
+        if not (own_edges.size or opp_edges.size):
+            return False
+        if self.value_col < 0:
+            self.value_col, self.value_row = self.num_cols, self.num_rows
+            self.num_cols += 1
+            self.num_rows += 1
+        marginals = gs.edge_marginal[own_edges]
+        payoffs = go.edge_marginal[opp_edges]
+        opp_nodes = np.concatenate((go.tail_nodes()[opp_edges], go.head_nodes()[opp_edges]))
+        own_nodes = np.concatenate((gs.tail_nodes()[own_edges], gs.head_nodes()[own_edges]))
+        for positions, parts in ((self.flow_col, own_edges), (self.marginal_col, marginals),
+                                 (self.payoff_col, payoffs), (self.potential_col, opp_nodes)):
+            self.num_cols = _number(positions, parts, self.num_cols)
+        for positions, parts in ((self.potential_row, opp_edges), (self.node_row, own_nodes),
+                                 (self.marginal_row, marginals), (self.payoff_row, payoffs)):
+            self.num_rows = _number(positions, parts, self.num_rows)
+        return True
+
+
+def _number(positions: np.ndarray, parts: np.ndarray, start: int) -> int:
+    """Number the parts among ``parts`` that ``positions`` has no place for
+    yet from ``start`` on; the next free number."""
+    new = np.unique(parts[positions[parts] < 0])
+    positions[new] = np.arange(start, start + new.size)
+    return start + new.size
+
+
+def _assemble(lay: _Layout, gs: LayeredGraph, go: LayeredGraph, sunk: SunkCostGame,
+              perspective: str) -> LinearProgram:
+    """The maximin LP of ``perspective`` over the parts ``lay`` places.
+
+    Every row kind is defined here once: an LP over all parts is
+    :func:`build_minimax_lp`'s, and one over fewer parts restricts the
+    perspective player to flows on its placed edges and the opponent to
+    paths on its placed edges."""
+    tables, c_self, c_opp = oriented_arrays(sunk, perspective)
+    own = np.flatnonzero(lay.flow_col >= 0)
+    opp = np.flatnonzero(lay.potential_row >= 0)
+    marg = np.flatnonzero(lay.marginal_col >= 0)
+    pay = np.flatnonzero(lay.payoff_col >= 0)
+    rows, cols, vals = [], [], []
+
+    def add(r, c, v):
+        rows.append(r)
+        cols.append(c)
+        vals.append(np.full(r.size, v) if np.ndim(v) == 0 else np.asarray(v, dtype=float))
+
+    flow = lay.flow_col[own]
+    # unit-flow conservation at every node of the perspective player's graph
+    add(lay.node_row[gs.head_nodes()[own]], flow, 1.0)
+    add(lay.node_row[gs.tail_nodes()[own]], flow, -1.0)
+    # marginals: h[i, a] equals the total flow on layer i's assignment-a edges
+    add(lay.marginal_row[gs.edge_marginal[own]], flow, -1.0)
+    add(lay.marginal_row[marg], lay.marginal_col[marg], 1.0)
+    # expected payoffs: q[i, b] equals sum_a w[i, a, b] * h[i, a] on a
+    # battlefield i with a valuation, and 0 on the others
+    add(lay.payoff_row[pay], lay.payoff_col[pay], 1.0)
+    valued = np.array([t is not None for t in sunk.valuations])
+    placed_h = (lay.marginal_col >= 0).reshape(gs.n_hat, gs.budget + 1)
+    placed_q = (lay.payoff_col >= 0).reshape(go.n_hat, go.budget + 1)
+    i, a, b = np.nonzero(placed_h[:, :, None] & placed_q[:, None, :] & valued[:, None, None])
+    add(lay.payoff_row[i * (go.budget + 1) + b], lay.marginal_col[i * (gs.budget + 1) + a],
+        -tables[i, a, b])
+    # opponent potentials: pi[head] <= pi[tail] + q[i, b] + c_opp[i, b]
+    # along every edge, the opponent's own cost as the row's bound
+    pot = lay.potential_row[opp]
+    add(pot, lay.potential_col[go.head_nodes()[opp]], 1.0)
+    add(pot, lay.potential_col[go.tail_nodes()[opp]], -1.0)
+    add(pot, lay.payoff_col[go.edge_marginal[opp]], -1.0)
+    # the value never exceeds the opponent's sink potential
+    add(np.array([lay.value_row, lay.value_row]),
+        np.array([lay.value_col, lay.potential_col[go.sink]]), [1.0, -1.0])
+
+    # zero valuation cells (a sign valuation's ties among them) are not stored
+    shape = (lay.num_rows, lay.num_cols)
+    a = CsrMatrix.from_triplets(shape, np.concatenate(rows), np.concatenate(cols),
+                                np.concatenate(vals))
+
+    row_upper = np.zeros(shape[0])
+    row_upper[pot] = c_opp.ravel()[go.edge_marginal[opp]]
+    row_upper[lay.node_row[gs.source]] = -1.0
+    row_upper[lay.node_row[gs.sink]] = 1.0
+    row_lower = row_upper.copy()
+    row_lower[pot] = row_lower[lay.value_row] = -np.inf
+
+    lower = np.full(shape[1], -np.inf)
+    lower[flow] = lower[lay.marginal_col[marg]] = 0.0
+    upper = np.full(shape[1], np.inf)
+    lower[lay.potential_col[go.source]] = upper[lay.potential_col[go.source]] = 0.0
+
+    objective = np.zeros(shape[1])
+    objective[lay.marginal_col[marg]] = -c_self.ravel()[marg]
+    objective[lay.value_col] = 1.0
+    return LinearProgram(sense="max", objective=objective, a=a, row_lower=row_lower,
+                         row_upper=row_upper, lower=lower, upper=upper)
 
 
 def _result_from_solution(model: MinimaxLP, sol: BackendSolution, what: str,
@@ -306,17 +404,85 @@ def _result_from_solution(model: MinimaxLP, sol: BackendSolution, what: str,
     outcome raises :class:`SolverFailureError` naming ``what``."""
     if sol.status != OPTIMAL:
         raise SolverFailureError(f"{what} failed: {sol.status} {sol.message}")
+    # the opponent-potential rows lead
+    opponent = None if witness else (model.graph_opp, sol.row_duals[:model.graph_opp.num_edges])
+    return _checked_result(what, float(model.program.objective @ sol.x), sol,
+                           (model.graph_self, sol.x[model.flow_slice]), opponent)
+
+
+def _checked_result(what: str, value: float, sol: BackendSolution,
+                    own: tuple[LayeredGraph, np.ndarray],
+                    opponent: tuple[LayeredGraph, np.ndarray] | None) -> SolveResult:
+    """A result whose flows, each a graph and its edge flows, are valid
+    unit flows; else :class:`SolverFailureError` naming ``what``."""
     flow = opponent_flow = None
     try:
-        flow = StrategyFlow(model.graph_self, sol.x[model.flow_slice])
-        if not witness:  # the opponent-potential rows lead
-            opponent_flow = StrategyFlow(
-                model.graph_opp, sol.row_duals[:model.graph_opp.num_edges])
+        flow = StrategyFlow(*own)
+        if opponent is not None:
+            opponent_flow = StrategyFlow(*opponent)
     except InvalidFlowError as exc:
         which = "flow" if flow is None else "opponent flow from the row duals"
         raise SolverFailureError(f"{what} unusable: {which}: {exc}") from exc
-    return SolveResult(status=OPTIMAL, value=float(model.program.objective @ sol.x), flow=flow,
-                       solution=sol, opponent_flow=opponent_flow)
+    return SolveResult(status=OPTIMAL, value=value, flow=flow, solution=sol,
+                       opponent_flow=opponent_flow)
+
+
+class RestrictedMinimaxLP:
+    """Player A's maximin LP of :func:`build_minimax_lp` over subsets of the
+    two players' edges: flow columns on A's placed edges, potential rows on
+    B's, and only the columns and rows those edges touch.  Its optimum is an
+    equilibrium of the game in which each player keeps to paths over its
+    placed edges, and the optimum's flow and dual flow are strategies of the
+    full game.
+
+    Edges are placed a path at a time, and the parts a path touches are
+    numbered after all parts already placed, so every :attr:`program` starts
+    with the rows and columns of the one before it, unchanged."""
+
+    def __init__(self, sunk: SunkCostGame):
+        self._sunk = sunk
+        self.graph_self = LayeredGraph(sunk.n_hat, sunk.budget_a)
+        self.graph_opp = LayeredGraph(sunk.n_hat, sunk.budget_b)
+        self._layout = _Layout.empty(self.graph_self, self.graph_opp)
+        self.program: LinearProgram | None = None
+
+    def add_paths(self, own=None, opp=None) -> bool:
+        """Place the edges of A's full assignment ``own`` and of B's ``opp``
+        (either may be ``None``) and rebuild :attr:`program`; whether any
+        edge was new."""
+        edges = [np.array([], dtype=np.int64) if s is None else graph.path_edges(s)
+                 for graph, s in ((self.graph_self, own), (self.graph_opp, opp))]
+        if not self._layout.place(self.graph_self, self.graph_opp, *edges):
+            return False
+        self.program = _assemble(self._layout, self.graph_self, self.graph_opp, self._sunk, "A")
+        return True
+
+    def marginals(self, sol: BackendSolution) -> tuple[np.ndarray, np.ndarray]:
+        """A's marginals, read from the marginal columns, and B's, summed
+        from the potential-row duals, as ``(n_hat, budget + 1)`` arrays."""
+        lay, gs, go = self._layout, self.graph_self, self.graph_opp
+        own = np.zeros(lay.marginal_col.size)
+        placed = lay.marginal_col >= 0
+        own[placed] = sol.x[lay.marginal_col[placed]]
+        opp = np.flatnonzero(lay.potential_row >= 0)
+        duals = np.bincount(go.edge_marginal[opp],
+                            weights=sol.row_duals[lay.potential_row[opp]],
+                            minlength=lay.payoff_col.size)
+        return own.reshape(gs.n_hat, gs.budget + 1), duals.reshape(go.n_hat, go.budget + 1)
+
+    def result(self, sol: BackendSolution) -> SolveResult:
+        """The optimum in ``sol`` as a result over the full graphs: both
+        flows zero off the placed edges, and checked."""
+        lay = self._layout
+        flows = []
+        for graph, positions, values in ((self.graph_self, lay.flow_col, sol.x),
+                                         (self.graph_opp, lay.potential_row, sol.row_duals)):
+            flow = np.zeros(graph.num_edges)
+            placed = positions >= 0
+            flow[placed] = values[positions[placed]]
+            flows.append((graph, flow))
+        return _checked_result("edge generation", float(self.program.objective @ sol.x), sol,
+                               *flows)
 
 
 def solve(model: MinimaxLP, backend=None) -> SolveResult:

@@ -14,7 +14,10 @@ says how player B sees those parts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
+
+import numpy as np
 
 from .game import (
     CostBlottoGame,
@@ -71,6 +74,12 @@ class SunkCostGame:
             if len(rows) != self.n_hat or any(len(row) != budget + 1 for row in rows):
                 raise ValueError(f"{name} must be {self.n_hat} rows of length {budget + 1}")
             object.__setattr__(self, name, rows)
+
+    @cached_property
+    def _arrays(self) -> dict:
+        """The parts as :func:`oriented_arrays` gives them, by player and
+        kind, filled in on first use."""
+        return {}
 
 
 def build_sunk_cost(game: CostBlottoGame) -> SunkCostGame:
@@ -132,3 +141,26 @@ def oriented_valuations(
         return sunk.budget_a, sunk.budget_b, sunk.valuations, sunk.costs_a, sunk.costs_b
     tables = tuple(None if t is None else negated_transpose(t) for t in sunk.valuations)
     return sunk.budget_b, sunk.budget_a, tables, sunk.costs_b, sunk.costs_a
+
+
+def oriented_arrays(
+    sunk: SunkCostGame, player: str, exact: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`oriented_valuations` as arrays: ``(tables, costs_self,
+    costs_opp)`` of shapes ``(n_hat, budget_self + 1, budget_opp + 1)``,
+    ``(n_hat, budget_self + 1)`` and ``(n_hat, budget_opp + 1)``, with an
+    all-zero table where the game has none.  They hold float64 entries, or
+    with ``exact`` the game's own entries in object arrays.  Each player's
+    and kind's arrays are built once per game."""
+    key = (player, exact)
+    if key not in sunk._arrays:
+        d_self, d_opp, tables, costs_self, costs_opp = oriented_valuations(sunk, player)
+        zero = ((0,) * (d_opp + 1),) * (d_self + 1)
+        dtype = object if exact else float
+        arrays = tuple(np.array(part, dtype=dtype)
+                       for part in ([zero if t is None else t for t in tables], costs_self,
+                                    costs_opp))
+        for array in arrays:  # every caller shares them
+            array.flags.writeable = False
+        sunk._arrays[key] = arrays
+    return sunk._arrays[key]

@@ -3,13 +3,14 @@
 A flow from the minimax LP is only a marginal system; these tools turn it
 into an explicit mixed strategy, compute exact best-response values by
 dynamic programming over the layered graph, and certify whether a profile is
-an equilibrium of the original game with costs.
+an equilibrium of the original game with costs.  The same dynamic program
+drives :func:`solve_by_generation`, which grows the minimax LP from the
+edges of best responses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import add
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,11 +21,17 @@ from .game import (
     PureStrategy,
     check_partial_assignment,
 )
-from .minimax import FEAS_EPS, InvalidFlowError, StrategyFlow
-from .reduction import SunkCostGame, build_sunk_cost, map_strategy, oriented_valuations
+from .minimax import FEAS_EPS, InvalidFlowError, RestrictedMinimaxLP, SolveResult, StrategyFlow
+from .reduction import SunkCostGame, build_sunk_cost, map_strategy, oriented_arrays
+from .solver import OPTIMAL, SolverFailureError, get_backend
 
 #: Default tolerance on best-response gaps in an equilibrium certificate.
 CERTIFICATE_EPS = 1e-5
+
+#: Edge generation stops when neither player's best response gains more
+#: than this over the restricted optimum: the HiGHS backend's feasibility
+#: tolerance.
+GENERATION_GAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -32,8 +39,9 @@ class Marginals:
     """Per-battlefield assignment distributions of one player.
 
     ``tables[i][t]`` is the probability of assigning ``t`` resources to
-    battlefield ``i``.  Rows are normalized at construction; a row whose sum
-    is off by more than the feasibility tolerance is rejected.
+    battlefield ``i``.  Rows are normalized at construction, unless they sum
+    to exactly 1; a row whose sum is off by more than the feasibility
+    tolerance is rejected.
     """
 
     tables: tuple[tuple[Number, ...], ...]
@@ -47,17 +55,16 @@ class Marginals:
                 raise ValueError(
                     f"marginal row {i} sums to {total!r}, expected 1"
                 )
-            cleaned = []
-            for t, p in enumerate(row):
-                if p < 0:
+            if min(row) < 0:
+                for t, p in enumerate(row):
                     if p < -FEAS_EPS:
                         raise ValueError(
                             f"marginal row {i} has negative mass {p!r} at t={t}"
                         )
-                    p = 0
-                cleaned.append(p)
-            total = sum(cleaned)
-            rows.append(tuple(p / total for p in cleaned))
+                row = tuple(0 if p < 0 else p for p in row)
+                total = sum(row)
+            # a row that sums to exactly 1 keeps its entries and their types
+            rows.append(row if total == 1 else tuple(p / total for p in row))
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("marginals must be non-empty rows of equal length")
         object.__setattr__(self, "tables", tuple(rows))
@@ -143,42 +150,68 @@ def best_response_value(
     """Best payoff ``player`` can get against the opponent's marginals.
 
     Dynamic program over the responder's layered graph on the game's parts
-    as :func:`oriented_valuations` orients them: own assignment ``a`` on
+    as :func:`oriented_arrays` orients them: own assignment ``a`` on
     battlefield ``i`` earns its expected valuation less its own cost, and the
-    opponent's expected own cost, which no reply changes, is added once.
-    Exact when the game and marginals are rational.  Returns the value and
-    one maximizing full assignment, breaking ties toward smaller assignments
-    battlefield by battlefield.
+    opponent's expected own cost, which no reply changes, is added once.  It
+    runs in float64 when the game or the marginals hold a float, and on
+    object arrays of the exact entries otherwise, so it is exact when the
+    game and marginals are rational.  Returns the value and one maximizing
+    full assignment, breaking ties toward smaller assignments battlefield by
+    battlefield.
     """
-    d_self, d_opp, tables, costs_self, costs_opp = oriented_valuations(sunk, player)
-    if opp_marginals.n_hat != sunk.n_hat or opp_marginals.budget != d_opp:
+    exact = not (_holds_float(opp_marginals.tables) or _holds_float(sunk.costs_a)
+                 or _holds_float(sunk.costs_b)
+                 or any(_holds_float(t) for t in sunk.valuations if t is not None))
+    tables, costs_self, costs_opp = oriented_arrays(sunk, player, exact)
+    m = np.array(opp_marginals.tables, dtype=object if exact else float)
+    d_opp = costs_opp.shape[1] - 1
+    if m.shape != costs_opp.shape:
         raise ValueError(
             f"opponent marginals have shape ({opp_marginals.n_hat}, "
             f"{opp_marginals.budget}), expected ({sunk.n_hat}, {d_opp})"
         )
-    rewards = [
-        [-own[a] if table is None
-         else sum(m_b * table[a][b] for b, m_b in enumerate(m)) - own[a]
-         for a in range(d_self + 1)]
-        for table, own, m in zip(tables, costs_self, opp_marginals.tables)
-    ]
-    # after[i][j]: best total from battlefield i onward with j already spent;
-    # the last battlefield takes what is left, an earlier one a, for row[a] +
-    # after[i + 1][j + a]; max keeps the first maximum, so ties go to the
-    # smaller a
-    after = [[rewards[-1][d_self - j] for j in range(d_self + 1)]]
-    for row in reversed(rewards[:-1]):
-        after.append([max(map(add, row, after[-1][j:])) for j in range(d_self + 1)])
-    after.reverse()
+    # every sum adds its terms one by one from 0, as Python's sum does, so
+    # that float sums round as they would in plain Python
+    expected = np.zeros(costs_self.shape, dtype=tables.dtype)
+    for b in range(d_opp + 1):
+        expected = expected + m[:, b, None] * tables[:, :, b]
+    best, assignment = _best_path(expected - costs_self)
+    value = best + sum((m * costs_opp).ravel().tolist())
+    return (value if exact else float(value)), assignment
+
+
+def _holds_float(rows) -> bool:
+    return any(isinstance(x, float) for row in rows for x in row)
+
+
+def _best_path(rewards: np.ndarray) -> tuple[Number, PureStrategy]:
+    """The largest total reward of a full assignment, ``rewards[i][a]`` for
+    assigning ``a`` to battlefield ``i``, and the assignment that earns it.
+
+    ``best[j]`` is the best total from battlefield ``i`` onward with ``j``
+    already spent: the last battlefield takes what is left, an earlier one
+    the ``a`` that maximizes ``rewards[i][a]`` plus the next battlefield's
+    ``best[j + a]``.  ``argmax`` keeps the first maximum, so ties go to the
+    smaller ``a``."""
+    size = rewards.shape[1]
+    spent = np.arange(size)
+    window = spent[:, None] + spent  # [j, a] -> j + a
+    line = np.full(2 * size - 1, -np.inf, dtype=rewards.dtype)
+    best = rewards[-1, ::-1]
+    choices = []
+    for row in rewards[-2::-1]:
+        line[:size] = best
+        totals = row + line[window]
+        choice = totals.argmax(axis=1)
+        best = totals[spent, choice]
+        choices.append(choice)
     assignment = []
     j = 0
-    for i in range(sunk.n_hat - 1):
-        a = next(a for a in range(d_self - j + 1)
-                 if rewards[i][a] + after[i + 1][j + a] == after[i][j])
-        assignment.append(a)
-        j += a
-    assignment.append(d_self - j)
-    return after[0][0] + _expected_cost(costs_opp, opp_marginals), tuple(assignment)
+    for choice in reversed(choices):
+        assignment.append(int(choice[j]))
+        j += assignment[-1]
+    assignment.append(size - 1 - j)
+    return best[0], tuple(assignment)
 
 
 def _expected_cost(costs: tuple[tuple[Number, ...], ...], marginals: Marginals) -> Number:
@@ -226,3 +259,55 @@ def certify_equilibrium(
     gap_a = br_a - realized
     gap_b = br_b + realized
     return bool(gap_a <= eps and gap_b <= eps), gap_a, gap_b
+
+
+def solve_by_generation(sunk: SunkCostGame, backend=None) -> SolveResult:
+    """Player A's minimax optimum, grown edge by edge: a double oracle over
+    the edges of both layered graphs, or column-and-row generation on the
+    LP of :func:`build_minimax_lp`.
+
+    The restricted LP starts from each player's best response to the
+    opponent idling, with every resource on the extra battlefield.  Each
+    round solves it, then finds both players' DP best responses to the
+    other's restricted optimum, A's marginals read from the marginal columns
+    and B's from the potential-row duals; a best response that gains more
+    than :data:`GENERATION_GAP` adds its path's edges.  When neither does,
+    the restricted optimum is an equilibrium of the full game.  All rounds
+    run on one HiGHS model held by ``backend`` (the default one, whose
+    simplex size rule takes the small first round), which gets only the new
+    columns and rows.  The result's flows are over the full graphs, its
+    value is the restricted objective, and its solution is the last round's
+    with the rounds' iterations summed.  Raises :class:`SolverFailureError`
+    when a round ends unsolved or adds no edge while a gap is still open."""
+    backend = backend if backend is not None else get_backend()
+    lp = RestrictedMinimaxLP(sunk)
+    lp.add_paths(best_response_value(sunk, _idle(sunk.n_hat, sunk.budget_b), "A")[1],
+                 best_response_value(sunk, _idle(sunk.n_hat, sunk.budget_a), "B")[1])
+    held, iterations = None, 0
+    while True:
+        sol = backend.solve(lp.program, extends=held)
+        held = lp.program
+        if sol.status != OPTIMAL:
+            raise SolverFailureError(f"edge generation failed: {sol.status} {sol.message}")
+        iterations += sol.iterations
+        value = float(held.objective @ sol.x)
+        try:
+            marg_a, marg_b = (Marginals(tables=tuple(map(tuple, m.tolist())))
+                              for m in lp.marginals(sol))
+        except ValueError as exc:
+            raise SolverFailureError(f"edge generation unusable: {exc}") from exc
+        gain_a, path_a = best_response_value(sunk, marg_b, "A")
+        gain_b, path_b = best_response_value(sunk, marg_a, "B")
+        open_a, open_b = gain_a - value > GENERATION_GAP, gain_b + value > GENERATION_GAP
+        if not (open_a or open_b):
+            return lp.result(replace(sol, iterations=iterations))
+        if not lp.add_paths(path_a if open_a else None, path_b if open_b else None):
+            raise SolverFailureError(
+                f"edge generation stalled: best-response gaps {gain_a - value:.3g} (A) and "
+                f"{gain_b + value:.3g} (B) with no new edge")
+
+
+def _idle(n_hat: int, budget: int) -> Marginals:
+    """The marginals of putting every resource on the last battlefield."""
+    return Marginals(tables=((1,) + (0,) * budget,) * (n_hat - 1)
+                     + ((0,) * budget + (1,),))

@@ -40,12 +40,7 @@ def strategies(xi: MixedStrategy) -> list[tuple[int, ...]]:
 
 def path_edges(graph: LayeredGraph, assignment) -> list[int]:
     """Edge indices of the source-to-sink path of one full assignment."""
-    assignment = check_full_assignment(assignment, graph.budget, graph.n_hat)
-    cumulative, path = 0, []
-    for field, a in enumerate(assignment, start=1):
-        path.append(graph.edge_index(field, cumulative, a))
-        cumulative += a
-    return path
+    return graph.path_edges(check_full_assignment(assignment, graph.budget, graph.n_hat)).tolist()
 
 
 def flow_from_mixed(graph: LayeredGraph, xi: MixedStrategy) -> StrategyFlow:
@@ -76,10 +71,11 @@ def random_cost(rng: random.Random, domain_max: int, exact: bool = False,
 
 
 def random_game(rng: random.Random, n_max: int = 3, d_max: int = 5,
-                exact: bool = False, increments=None) -> CostBlottoGame:
-    """Random instance: integer valuations in [-2, 2], random monotone costs
-    (see :func:`random_cost` for ``increments``)."""
-    n = rng.randint(2, n_max)
+                exact: bool = False, increments=None, n_min: int = 2) -> CostBlottoGame:
+    """Random instance of ``n_min``-``n_max`` battlefields: integer
+    valuations in [-2, 2], random monotone costs (see :func:`random_cost`
+    for ``increments``)."""
+    n = rng.randint(n_min, n_max)
     d_a = rng.randint(0, d_max)
     d_b = rng.randint(0, d_max)
     vals = []

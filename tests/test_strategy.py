@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from costblotto import (
     payoff_zero,
     solve,
 )
-from conftest import flow_from_mixed, point_mass, random_game, sunk_payoff
+from costblotto.reduction import oriented_valuations
+from conftest import (DECIMAL_INCREMENTS, example_one, flow_from_mixed, point_mass, random_game,
+                      sunk_payoff)
 
 S_STAR = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -51,6 +54,17 @@ class TestMarginals:
         m = Marginals(tables=((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)))
         assert m.n_hat == 2
         assert m.budget == 2
+
+    def test_exact_rows_keep_their_types(self):
+        m = marginals_from_mixed(point_mass((0, 0, 2)), 2)
+        assert m.tables == ((1, 0, 0), (1, 0, 0), (0, 0, 1))
+        assert all(type(p) is int for row in m.tables for p in row)
+        third = Fraction(1, 3)
+        assert Marginals(tables=((third, 0, 2 * third),)).tables == ((third, 0, 2 * third),)
+
+    def test_inexact_rows_still_normalized(self):
+        m = Marginals(tables=((Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**9)),))
+        assert sum(m.tables[0]) == 1 and all(type(p) is Fraction for p in m.tables[0])
 
 
 class TestMarginalsFromFlow:
@@ -248,6 +262,17 @@ class TestCertifyEquilibrium:
         assert not is_eq
         assert max(gap_a, gap_b) >= 1
 
+    def test_exact_gaps_on_a_fraction_game(self):
+        # int probabilities on a Fraction game keep every sum exact
+        rng = random.Random(21)
+        for _ in range(10):
+            game = random_game(rng, exact=True)
+            pool_a = enumerate_strategies(game.budget_a, game.n)
+            pool_b = enumerate_strategies(game.budget_b, game.n)
+            _, gap_a, gap_b = certify_equilibrium(
+                game, point_mass(rng.choice(pool_a)), point_mass(rng.choice(pool_b)))
+            assert type(gap_a) is Fraction and type(gap_b) is Fraction
+
     def test_gap_side_can_flip(self, example_game):
         # (0,2) happens to be a best reply to (0,1); the profile still fails
         # on the opponent's side
@@ -305,3 +330,98 @@ class TestCertifyEquilibrium:
         br_b, _ = best_response_value(sunk, marginals_from_mixed(mapped_a, game.budget_a), "B")
         assert br_a - gap_a == expected
         assert gap_b - br_b == expected
+
+
+def reference_best_response(sunk, opp_marginals, player):
+    """The best-response dynamic program in plain Python over the parts as
+    :func:`oriented_valuations` gives them, sum by sum: the form the
+    package's numpy version is pinned to."""
+    d_self, _, tables, costs_self, costs_opp = oriented_valuations(sunk, player)
+    rewards = [
+        [-own[a] if table is None
+         else sum(m_b * table[a][b] for b, m_b in enumerate(m)) - own[a]
+         for a in range(d_self + 1)]
+        for table, own, m in zip(tables, costs_self, opp_marginals.tables)
+    ]
+    after = [[rewards[-1][d_self - j] for j in range(d_self + 1)]]
+    for row in reversed(rewards[:-1]):
+        after.append([max(map(add, row, after[-1][j:])) for j in range(d_self + 1)])
+    after.reverse()
+    assignment, j = [], 0
+    for i in range(sunk.n_hat - 1):
+        a = next(a for a in range(d_self - j + 1)
+                 if rewards[i][a] + after[i + 1][j + a] == after[i][j])
+        assignment.append(a)
+        j += a
+    assignment.append(d_self - j)
+    expected = sum(p * c for row, m in zip(costs_opp, opp_marginals.tables)
+                   for c, p in zip(row, m))
+    return after[0][0] + expected, tuple(assignment)
+
+
+def drawn_marginals(rng, n_hat, budget, draw):
+    """Per battlefield: a point mass, a uniform row, or ``draw()`` weights."""
+    rows = []
+    for _ in range(n_hat):
+        shape = rng.randrange(3)
+        if shape == 0:
+            row = [0] * (budget + 1)
+            row[rng.randrange(budget + 1)] = 1
+        elif shape == 1:
+            row = [Fraction(1, budget + 1)] * (budget + 1)
+        else:
+            row = [draw() for _ in range(budget + 1)]
+            row[rng.randrange(budget + 1)] += 1  # no empty row
+            row = [p / sum(row) for p in row]
+        rows.append(tuple(row))
+    return Marginals(tables=tuple(rows))
+
+
+class TestVectorizedDP:
+    """The numpy dynamic program gives the plain-Python one's answers: the
+    same values, types and assignments on exact games, ties included, the
+    same floats on float games, and values within 1e-12 where Fractions and
+    floats mix."""
+
+    @pytest.mark.parametrize("player", ["A", "B"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_exact_games(self, seed, player):
+        rng = random.Random(1400 + seed)
+        for _ in range(8):
+            sunk = build_sunk_cost(random_game(rng, n_max=5, d_max=6, exact=True))
+            d_opp = sunk.budget_b if player == "A" else sunk.budget_a
+            m = drawn_marginals(rng, sunk.n_hat, d_opp,
+                                lambda: Fraction(rng.randint(0, 3), rng.randint(1, 3)))
+            mine = best_response_value(sunk, m, player)
+            theirs = reference_best_response(sunk, m, player)
+            assert mine == theirs and type(mine[0]) is type(theirs[0])
+
+    @pytest.mark.parametrize("player", ["A", "B"])
+    @pytest.mark.parametrize("increments", [None, DECIMAL_INCREMENTS], ids=["dyadic", "decimal"])
+    def test_float_games(self, increments, player):
+        # float marginals give the same floats, summed in the same order;
+        # marginals mixing Fractions and floats, which the plain-Python DP
+        # multiplies partly exactly, agree within 1e-12
+        rng = random.Random(1500)
+        for _ in range(40):
+            sunk = build_sunk_cost(random_game(rng, n_max=6, d_max=10, increments=increments))
+            d_opp = sunk.budget_b if player == "A" else sunk.budget_a
+            mixed = drawn_marginals(rng, sunk.n_hat, d_opp, rng.random)
+            floats = Marginals(tables=tuple(tuple(map(float, row)) for row in mixed.tables))
+            mine = best_response_value(sunk, floats, player)
+            assert repr(mine) == repr(reference_best_response(sunk, floats, player))
+            (mine, _), (theirs, _) = (best_response_value(sunk, mixed, player),
+                                      reference_best_response(sunk, mixed, player))
+            assert type(mine) is float and abs(mine - theirs) <= 1e-12
+
+    def test_point_mass_is_exact(self):
+        # int probabilities keep an int game's value an int and a Fraction
+        # game's a Fraction
+        sunk = build_sunk_cost(example_one())
+        value, _ = best_response_value(sunk, point_mass_marginals((1, 0, 1), 2), "B")
+        assert type(value) is int
+        game = random_game(random.Random(4), exact=True)
+        value, _ = best_response_value(
+            build_sunk_cost(game),
+            point_mass_marginals((0,) * game.n + (game.budget_b,), game.budget_b), "A")
+        assert type(value) is Fraction
