@@ -17,8 +17,9 @@ backend for a method.  The backend keeps the model of the
 last LP it built.  An LP over that same matrix object, from whichever caller,
 is solved by changing the model's costs and bounds in place and re-running
 primal simplex from the basis the model holds.  An LP that a caller declares
-an extension of the held one gets only its added columns and rows, and is
-re-solved by primal simplex from the held basis too.  An LP over any other
+an extension of the held one, and that starts with the held LP's columns and
+rows unchanged, gets only its added columns and rows, and is re-solved by
+primal simplex from the held basis too.  An LP over any other
 matrix is built cold.
 """
 
@@ -334,10 +335,11 @@ class ScipyHighsBackend:
         """Solve ``lp``.  When ``extends`` is the LP the backend holds and
         ``lp`` starts with its rows and columns, unchanged, only the added
         columns and rows go to HiGHS, which re-solves by primal simplex,
-        presolve off, from the held basis."""
+        presolve off, from the held basis.  An ``lp`` that does not start
+        so is built cold."""
         sign = 1.0 if lp.sense == "min" else -1.0  # the model minimizes
         cost = sign * lp.objective
-        if extends is not None and extends is self._lp:
+        if extends is not None and extends is self._lp and _starts_with(lp, extends):
             refused = self._grow(lp, cost)
         elif self._lp is not None and lp.a is self._lp.a:
             refused = self._change(lp, cost)
@@ -371,6 +373,26 @@ class ScipyHighsBackend:
                                np.int8, lp.num_vars) == HighsBasisStatus.kLower.value
         sign = 1.0 if lp.sense == "min" else -1.0
         return sign * np.where(at_lower, self._highs.getSolution().col_dual, 0.0)
+
+
+def _starts_with(lp: LinearProgram, held: LinearProgram) -> bool:
+    """Whether ``lp`` holds ``held``'s columns and rows, unchanged, before
+    any it adds: the same sense, costs, bounds and row bounds on them, and,
+    row by row in column order, ``held``'s matrix entries as the entries of
+    ``lp``'s held rows in the held columns."""
+    (rows, cols), a, h = held.a.shape, lp.a, held.a
+    if lp.sense != held.sense or lp.num_constraints < rows or lp.num_vars < cols:
+        return False
+    if not all(np.array_equal(getattr(lp, name)[:size], getattr(held, name))
+               for name, size in (("objective", cols), ("lower", cols), ("upper", cols),
+                                  ("row_lower", rows), ("row_upper", rows))):
+        return False
+    split = a.indptr[rows]
+    old = a.indices[:split] < cols
+    row = np.repeat(np.arange(rows), np.diff(a.indptr[:rows + 1]))
+    return (np.array_equal(np.bincount(row[old], minlength=rows), np.diff(h.indptr))
+            and np.array_equal(a.indices[:split][old], h.indices)
+            and np.array_equal(a.data[:split][old], h.data))
 
 
 def get_backend(name: str = DEFAULT_BACKEND) -> ScipyHighsBackend:

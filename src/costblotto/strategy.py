@@ -21,7 +21,8 @@ from .game import (
     PureStrategy,
     check_partial_assignment,
 )
-from .minimax import FEAS_EPS, InvalidFlowError, RestrictedMinimaxLP, SolveResult, StrategyFlow
+from .minimax import (FEAS_EPS, InvalidFlowError, RestrictedMinimaxLP, SolveResult,
+                      StrategyFlow, build_minimax_lp, solve)
 from .reduction import SunkCostGame, build_sunk_cost, map_strategy, oriented_arrays
 from .solver import OPTIMAL, SolverFailureError, get_backend
 
@@ -176,7 +177,9 @@ def best_response_value(
     for b in range(d_opp + 1):
         expected = expected + m[:, b, None] * tables[:, :, b]
     best, assignment = _best_path(expected - costs_self)
-    value = best + sum((m * costs_opp).ravel().tolist())
+    # the opponent's own cost rows, as oriented_valuations orients them
+    value = best + _expected_cost(sunk.costs_b if player == "A" else sunk.costs_a,
+                                  opp_marginals)
     return (value if exact else float(value)), assignment
 
 
@@ -277,8 +280,14 @@ def solve_by_generation(sunk: SunkCostGame, backend=None) -> SolveResult:
     simplex size rule takes the small first round), which gets only the new
     columns and rows.  The result's flows are over the full graphs, its
     value is the restricted objective, and its solution is the last round's
-    with the rounds' iterations summed.  Raises :class:`SolverFailureError`
-    when a round ends unsolved or adds no edge while a gap is still open."""
+    with the rounds' iterations summed.
+
+    A round that adds no edge while a gap is still open ends the rounds:
+    its restricted optimum is returned when the gaps are within
+    :func:`_stall_tolerance`, and :func:`build_minimax_lp`'s full LP is
+    solved on ``backend`` otherwise.  Raises :class:`SolverFailureError`
+    when a round ends unsolved or its marginals are unusable, or when a
+    stall's full LP fails."""
     backend = backend if backend is not None else get_backend()
     lp = RestrictedMinimaxLP(sunk)
     lp.add_paths(best_response_value(sunk, _idle(sunk.n_hat, sunk.budget_b), "A")[1],
@@ -301,10 +310,30 @@ def solve_by_generation(sunk: SunkCostGame, backend=None) -> SolveResult:
         open_a, open_b = gain_a - value > GENERATION_GAP, gain_b + value > GENERATION_GAP
         if not (open_a or open_b):
             return lp.result(replace(sol, iterations=iterations))
-        if not lp.add_paths(path_a if open_a else None, path_b if open_b else None):
+        if lp.add_paths(path_a if open_a else None, path_b if open_b else None):
+            continue
+        # both best responses already lie in the restricted LP, so what is
+        # left of the gaps is the LP's round-off at the game's payoff scale
+        if max(gain_a - value, gain_b + value) <= _stall_tolerance(sunk):
+            return lp.result(replace(sol, iterations=iterations))
+        try:
+            return solve(build_minimax_lp(sunk, "A"), backend)
+        except SolverFailureError as exc:
             raise SolverFailureError(
                 f"edge generation stalled: best-response gaps {gain_a - value:.3g} (A) and "
-                f"{gain_b + value:.3g} (B) with no new edge")
+                f"{gain_b + value:.3g} (B) with no new edge, and the full LP failed: "
+                f"{exc}") from exc
+
+
+def _stall_tolerance(sunk: SunkCostGame) -> float:
+    """The best-response gap a stalled generation accepts: :data:`GENERATION_GAP`
+    relative to a bound on the absolute payoff of any pure profile, the sum
+    over battlefields of the largest absolute valuation and both players'
+    largest absolute costs, but never above :data:`CERTIFICATE_EPS`, the
+    largest gap the default certificate accepts."""
+    scale = sum(float(np.abs(part).max(axis=tuple(range(1, part.ndim))).sum())
+                for part in oriented_arrays(sunk, "A"))
+    return min(CERTIFICATE_EPS, GENERATION_GAP * max(1.0, scale))
 
 
 def _idle(n_hat: int, budget: int) -> Marginals:

@@ -40,7 +40,12 @@ def strategies(xi: MixedStrategy) -> list[tuple[int, ...]]:
 
 def path_edges(graph: LayeredGraph, assignment) -> list[int]:
     """Edge indices of the source-to-sink path of one full assignment."""
-    return graph.path_edges(check_full_assignment(assignment, graph.budget, graph.n_hat)).tolist()
+    assignment = check_full_assignment(assignment, graph.budget, graph.n_hat)
+    cumulative, path = 0, []
+    for field, a in enumerate(assignment, start=1):
+        path.append(graph.edge_index(field, cumulative, a))
+        cumulative += a
+    return path
 
 
 def flow_from_mixed(graph: LayeredGraph, xi: MixedStrategy) -> StrategyFlow:

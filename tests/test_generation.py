@@ -12,8 +12,9 @@ import scipy.sparse as sp
 from costblotto import (build_minimax_lp, build_sunk_cost, certify_equilibrium, cli,
                         enumerate_strategies, solve, strategy)
 from costblotto.cli import GENERATE_FROM_BATTLEFIELDS, main
+from costblotto.config import parse_game_config
 from costblotto.minimax import RestrictedMinimaxLP
-from costblotto.solver import ScipyHighsBackend
+from costblotto.solver import ScipyHighsBackend, SolverFailureError
 from costblotto.strategy import (GENERATION_GAP, best_response_value, marginals_from_flow,
                                  solve_by_generation)
 from conftest import DECIMAL_INCREMENTS, random_game
@@ -143,6 +144,28 @@ class TestHeldModel:
                               (model.col_upper_, held.upper), (model.col_cost_, -held.objective)):
                 assert np.array_equal(np.asarray(got), want)
 
+    def test_program_that_does_not_extend_is_built_cold(self, monkeypatch):
+        # the same paths placed in another order number the parts otherwise
+        sunk = build_sunk_cost(generation_games("decimal", 1)[0])
+        pools = [enumerate_strategies(d, sunk.n_hat, full=True)
+                 for d in (sunk.budget_a, sunk.budget_b)]
+        first, second = ([pool[k % len(pool)] for pool in pools] for k in (0, 1))
+        held, other = RestrictedMinimaxLP(sunk), RestrictedMinimaxLP(sunk)
+        held.add_paths(*first)
+        other.add_paths(*second)
+        other.add_paths(*first)
+        backend = ScipyHighsBackend()
+        backend.solve(held.program)
+        grown = []
+        original = ScipyHighsBackend._grow
+        monkeypatch.setattr(ScipyHighsBackend, "_grow",
+                            lambda self, *args: grown.append(args) or original(self, *args))
+        warm = backend.solve(other.program, extends=held.program)
+        cold = ScipyHighsBackend().solve(other.program)
+        assert not grown
+        assert warm.status == cold.status == "optimal"
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+
     def test_every_path_gives_the_full_lps_value(self):
         game = generation_games("dyadic", 1)[0]
         sunk = build_sunk_cost(game)
@@ -178,17 +201,36 @@ class TestCommands:
         assert capfd.readouterr() == ("", "")
 
     @pytest.mark.parametrize("command", ["solve", "oracle-diff"])
-    def test_stalled_oracle_exits_3(self, command, large_config, tmp_path, monkeypatch,
-                                    capsys):
-        # every best response after the first is the first one's path, so
-        # a round adds no edge while a gap is still open
-        real, first = strategy.best_response_value, {}
+    def test_stalled_oracle_solves_the_full_lp(self, command, large_config, tmp_path,
+                                               monkeypatch):
+        # a round adds no edge while a gap is open beyond round-off, so the
+        # full LP answers
+        _stall(monkeypatch)
+        full_solves = []
+        real_solve = strategy.solve
+        monkeypatch.setattr(strategy, "solve",
+                            lambda *args: full_solves.append(args) or real_solve(*args))
+        out = tmp_path / "out"
+        args = [command, "--config", large_config]
+        if command == "solve":
+            args += ["--player", "A", "--out", str(out)]
+        assert main(args) == 0
+        assert len(full_solves) == 1
+        if command == "solve":
+            game = cli.load_game(large_config)
+            full = solve(build_minimax_lp(build_sunk_cost(game), "A"))
+            value = json.loads((out / "solution_A.json").read_text())["value"]
+            assert value == pytest.approx(full.value, abs=1e-9)
 
-        def stalled(sunk, marginals, player):
-            value, path = real(sunk, marginals, player)
-            return value, first.setdefault(player, path)
+    @pytest.mark.parametrize("command", ["solve", "oracle-diff"])
+    def test_stall_and_failed_full_lp_exit_3(self, command, large_config, tmp_path,
+                                             monkeypatch, capsys):
+        _stall(monkeypatch)
 
-        monkeypatch.setattr(strategy, "best_response_value", stalled)
+        def failed(*args):
+            raise SolverFailureError("minimax solve failed: numeric-failure")
+
+        monkeypatch.setattr(strategy, "solve", failed)
         out = tmp_path / "out"
         args = [command, "--config", large_config]
         if command == "solve":
@@ -197,6 +239,7 @@ class TestCommands:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "SolverFailureError"
         assert "stalled" in err["error"]["message"]
+        assert "numeric-failure" in err["error"]["message"]
         assert not out.exists()
 
     def test_small_game_one_lp_solve(self, tmp_path, monkeypatch):
@@ -214,3 +257,33 @@ class TestCommands:
         assert main(["solve", "--config", str(path), "--player", "A",
                      "--out", str(tmp_path / "out")]) == 0
         assert len(calls) == 1
+
+
+def _stall(monkeypatch):
+    """Make every best response after the first the first one's path."""
+    real, first = strategy.best_response_value, {}
+
+    def stalled(sunk, marginals, player):
+        value, path = real(sunk, marginals, player)
+        return value, first.setdefault(player, path)
+
+    monkeypatch.setattr(strategy, "best_response_value", stalled)
+
+
+class TestLargePayoffs:
+    def test_round_off_stall_returns_the_restricted_optimum(self):
+        # payoffs near 1e5-1e6: the last rounds' gaps are round-off above
+        # GENERATION_GAP with every best-response edge placed
+        w = 1e5
+        none = {"kind": "none"}
+        game = parse_game_config({
+            "n": 6, "budget_A": 20, "budget_B": 18,
+            "valuations": [{"kind": "sign", "weight": w * (1 + i % 2)} for i in range(6)],
+            "assign_costs_A": none, "assign_costs_B": none,
+            "obtain_cost_A": {"kind": "linear", "coeff": 0.05 * w},
+            "obtain_cost_B": {"kind": "linear", "coeff": 0.05 * w}})
+        result, xi_a, xi_b = cli._solve_game(game)
+        full = solve(build_minimax_lp(build_sunk_cost(game), "A"))
+        assert result.value == pytest.approx(full.value, rel=1e-12)
+        assert result.solution.lp_solver == "simplex"  # not the full LP's interior point
+        assert certify_equilibrium(game, xi_a, xi_b)[0]

@@ -73,6 +73,20 @@ class TestLayeredGraph:
         assert len(path) == 3
         assert [int(graph.edge_assign[e]) for e in path] == [0, 1, 1]
 
+    def test_path_edges_method(self):
+        # the package's path_edges is the edge_index walk, and its edges
+        # chain from the source to the sink
+        rng = random.Random(3)
+        for _ in range(200):
+            graph = LayeredGraph(rng.randint(1, 6), rng.randint(0, 8))
+            cuts = sorted(rng.randint(0, graph.budget) for _ in range(graph.n_hat - 1))
+            assignment = tuple(hi - lo for lo, hi in zip([0] + cuts, cuts + [graph.budget]))
+            path = graph.path_edges(assignment).tolist()
+            assert path == path_edges(graph, assignment)
+            tails, heads = graph.tail_nodes()[path], graph.head_nodes()[path]
+            assert tails[0] == graph.source and heads[-1] == graph.sink
+            assert np.array_equal(tails[1:], heads[:-1])
+
     def test_equality_by_shape(self):
         assert LayeredGraph(3, 2) == LayeredGraph(3, 2)
         assert LayeredGraph(3, 2) != LayeredGraph(2, 3)
