@@ -19,6 +19,7 @@ potential rows.  The matrix of a game is the same whatever its costs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate, pairwise
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -157,9 +158,9 @@ class StrategyFlow:
         return balance
 
 
-@dataclass(frozen=True)
 class MinimaxLP:
-    """The assembled LP plus the index layout needed to read solutions back.
+    """The maximin LP of ``perspective`` over the edges placed so far, and
+    the layout that reads its solutions back.
 
     Variables are, in order: the perspective player's edge flows, its
     per-battlefield marginals (one per assignment level), the opponent's
@@ -173,14 +174,25 @@ class MinimaxLP:
     duals form the opponent's equilibrium flow, then the value row; then the
     equalities: flow conservation per node, the marginals and the expected
     payoffs of the valuations alone.
+
+    That is the order of :func:`build_minimax_lp`'s LP, which places every
+    edge at once.  Over fewer edges the LP keeps the perspective player to
+    flows on its placed edges and the opponent to paths on its placed edges,
+    with only the columns and rows those edges touch.  Its optimum is an
+    equilibrium of that restricted game, and the optimum's flow and dual
+    flow are strategies of the full game.  Each placement numbers the parts
+    it adds after all parts placed before, so :attr:`program` is then the
+    one before it, its :attr:`~costblotto.solver.LinearProgram.base`, with
+    columns and rows appended.
     """
 
-    program: LinearProgram
-    graph_self: LayeredGraph
-    graph_opp: LayeredGraph
-    flow_slice: slice
-    marginal_slice: slice
-    value_index: int
+    def __init__(self, sunk: SunkCostGame, perspective: str = "A"):
+        tables, _, _ = oriented_arrays(sunk, perspective)
+        self._sunk, self._perspective = sunk, perspective
+        self.graph_self = LayeredGraph(sunk.n_hat, tables.shape[1] - 1)
+        self.graph_opp = LayeredGraph(sunk.n_hat, tables.shape[2] - 1)
+        self.layout = _Layout(self.graph_self, self.graph_opp)
+        self.program: LinearProgram | None = None
 
     @property
     def num_vars(self) -> int:
@@ -189,6 +201,48 @@ class MinimaxLP:
     @property
     def num_constraints(self) -> int:
         return self.program.num_constraints
+
+    def place(self, own_edges: np.ndarray, opp_edges: np.ndarray) -> bool:
+        """Place the perspective player's edges ``own_edges`` and the
+        opponent's ``opp_edges``, and make :attr:`program` the LP over every
+        edge placed; whether any edge was new."""
+        if not self.layout.place(self.graph_self, self.graph_opp, own_edges, opp_edges):
+            return False
+        self.program = _assemble(self.layout, self.graph_self, self.graph_opp, self._sunk,
+                                 self._perspective, self.program)
+        return True
+
+    def marginals(self, sol: BackendSolution) -> tuple[np.ndarray, np.ndarray]:
+        """The perspective player's marginals, read from the marginal
+        columns, and the opponent's, summed from the potential-row duals, as
+        ``(n_hat, budget + 1)`` arrays."""
+        lay, gs, go = self.layout, self.graph_self, self.graph_opp
+        own = _scatter(lay.marginal_col, sol.x)
+        opp = np.flatnonzero(lay.potential_row >= 0)
+        duals = np.bincount(go.edge_marginal[opp],
+                            weights=sol.row_duals[lay.potential_row[opp]],
+                            minlength=lay.payoff_col.size)
+        return own.reshape(gs.n_hat, gs.budget + 1), duals.reshape(go.n_hat, go.budget + 1)
+
+    def result(self, sol: BackendSolution, what: str, witness: bool = False) -> SolveResult:
+        """The optimum in ``sol`` as a result over the full graphs, its flows
+        zero off the placed edges and checked: the perspective player's flow
+        from the flow columns and, unless ``witness``, the opponent's from the
+        potential-row duals.  Any other outcome raises
+        :class:`SolverFailureError` naming ``what``."""
+        if sol.status != OPTIMAL:
+            raise SolverFailureError(f"{what} failed: {sol.status} {sol.message}")
+        lay, flow, opponent_flow = self.layout, None, None
+        try:
+            flow = StrategyFlow(self.graph_self, _scatter(lay.flow_col, sol.x))
+            if not witness:
+                opponent_flow = StrategyFlow(self.graph_opp,
+                                             _scatter(lay.potential_row, sol.row_duals))
+        except InvalidFlowError as exc:
+            which = "flow" if flow is None else "opponent flow from the row duals"
+            raise SolverFailureError(f"{what} unusable: {which}: {exc}") from exc
+        return SolveResult(status=OPTIMAL, value=float(self.program.objective @ sol.x),
+                           flow=flow, solution=sol, opponent_flow=opponent_flow)
 
 
 @dataclass(frozen=True)
@@ -211,6 +265,15 @@ class SolveResult:
     opponent_flow: StrategyFlow | None = None
 
 
+def _scatter(positions: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per part, its value among ``values`` at its place in ``positions``,
+    and 0 where the LP leaves it out."""
+    out = np.zeros(positions.size)
+    placed = positions >= 0
+    out[placed] = values[positions[placed]]
+    return out
+
+
 def build_minimax_lp(sunk: SunkCostGame, perspective: str = "A") -> MinimaxLP:
     """Assemble the maximin LP of ``perspective`` over both layered graphs.
 
@@ -221,22 +284,11 @@ def build_minimax_lp(sunk: SunkCostGame, perspective: str = "A") -> MinimaxLP:
     priced at its expected valuation plus the opponent's own cost.  At the
     optimum the objective is the game value seen from ``perspective``.
     """
-    tables, _, _ = oriented_arrays(sunk, perspective)
-    gs = LayeredGraph(sunk.n_hat, tables.shape[1] - 1)
-    go = LayeredGraph(sunk.n_hat, tables.shape[2] - 1)
-    layout = _Layout.full(gs, go)
-    program = _assemble(layout, gs, go, sunk, perspective)
-    return MinimaxLP(
-        program=program,
-        graph_self=gs,
-        graph_opp=go,
-        flow_slice=slice(0, gs.num_edges),
-        marginal_slice=slice(gs.num_edges, gs.num_edges + layout.marginal_col.size),
-        value_index=layout.value_col,
-    )
+    model = MinimaxLP(sunk, perspective)
+    model.place(np.arange(model.graph_self.num_edges), np.arange(model.graph_opp.num_edges))
+    return model
 
 
-@dataclass
 class _Layout:
     """Where a minimax LP places its parts: per index of each part, its
     column or row in the LP, or -1 where the LP leaves the part out.
@@ -245,97 +297,82 @@ class _Layout:
     marginal column and row of battlefield ``i`` and own assignment ``a`` sit
     at index ``i * (budget_self + 1) + a``, the expected-payoff column and row
     of opponent assignment ``b`` at ``i * (budget_opp + 1) + b``; potential
-    columns are per opponent node and potential rows per opponent edge."""
+    columns are per opponent node and potential rows per opponent edge.
+    Each part's array is a view of ``cols``, which holds the columns of the
+    flows, marginals, expected payoffs, potentials and value in that order,
+    or of ``rows``, which holds the potential rows, value row, conservation,
+    marginals and expected payoffs in that order."""
 
-    flow_col: np.ndarray
-    node_row: np.ndarray
-    marginal_col: np.ndarray
-    marginal_row: np.ndarray
-    payoff_col: np.ndarray
-    payoff_row: np.ndarray
-    potential_col: np.ndarray
-    potential_row: np.ndarray
-    value_col: int = -1
-    value_row: int = -1
-    num_cols: int = 0
-    num_rows: int = 0
-
-    @classmethod
-    def empty(cls, gs: LayeredGraph, go: LayeredGraph) -> "_Layout":
+    def __init__(self, gs: LayeredGraph, go: LayeredGraph):
         n_marg = gs.n_hat * (gs.budget + 1)
         n_pay = go.n_hat * (go.budget + 1)
-        return cls(*(np.full(size, -1, dtype=np.int64) for size in (
-            gs.num_edges, gs.num_nodes, n_marg, n_marg, n_pay, n_pay, go.num_nodes,
-            go.num_edges)))
+        self._col_starts = list(accumulate((gs.num_edges, n_marg, n_pay, go.num_nodes, 1),
+                                           initial=0))
+        self._row_starts = list(accumulate((go.num_edges, 1, gs.num_nodes, n_marg, n_pay),
+                                           initial=0))
+        self.cols = np.full(self._col_starts[-1], -1)
+        self.rows = np.full(self._row_starts[-1], -1)
+        (self.flow_col, self.marginal_col, self.payoff_col, self.potential_col,
+         _) = (self.cols[a:b] for a, b in pairwise(self._col_starts))
+        (self.potential_row, _, self.node_row, self.marginal_row,
+         self.payoff_row) = (self.rows[a:b] for a, b in pairwise(self._row_starts))
+        self.num_cols = self.num_rows = 0
 
-    @classmethod
-    def full(cls, gs: LayeredGraph, go: LayeredGraph) -> "_Layout":
-        """Every part, the columns in the order flows, marginals, expected
-        payoffs, potentials, value, and the rows in the order potential
-        rows, value row, conservation, marginals, expected payoffs."""
-        n_marg = gs.n_hat * (gs.budget + 1)
-        n_pay = go.n_hat * (go.budget + 1)
-        col_h = gs.num_edges
-        col_q = col_h + n_marg
-        col_pi = col_q + n_pay
-        col_t = col_pi + go.num_nodes
-        row_node = go.num_edges + 1  # the equalities follow the <= rows
-        row_marg = row_node + gs.num_nodes
-        row_pay = row_marg + n_marg
-        return cls(flow_col=np.arange(gs.num_edges),
-                   node_row=row_node + np.arange(gs.num_nodes),
-                   marginal_col=col_h + np.arange(n_marg),
-                   marginal_row=row_marg + np.arange(n_marg),
-                   payoff_col=col_q + np.arange(n_pay),
-                   payoff_row=row_pay + np.arange(n_pay),
-                   potential_col=col_pi + np.arange(go.num_nodes),
-                   potential_row=np.arange(go.num_edges),
-                   value_col=col_t, value_row=go.num_edges,
-                   num_cols=col_t + 1, num_rows=row_pay + n_pay)
+    @property
+    def value_col(self) -> int:
+        return int(self.cols[-1])
+
+    @property
+    def value_row(self) -> int:
+        return int(self.rows[self._row_starts[1]])
 
     def place(self, gs: LayeredGraph, go: LayeredGraph, own_edges: np.ndarray,
               opp_edges: np.ndarray) -> bool:
         """Give the own edges ``own_edges`` and opponent edges ``opp_edges``,
-        and every part they touch, the next free columns and rows, after all
-        parts already placed; the value column and row come first.  Whether
-        any edge was new."""
+        and every part they touch, the next free columns and rows in the
+        order of ``cols`` and ``rows``, after all parts already placed.  The
+        value column and row are among the first placement's parts, so the
+        value column follows its potential columns and the value row its
+        potential rows.  Whether any edge was new."""
         own_edges = own_edges[self.flow_col[own_edges] < 0]
         opp_edges = opp_edges[self.potential_row[opp_edges] < 0]
         if not (own_edges.size or opp_edges.size):
             return False
-        if self.value_col < 0:
-            self.value_col, self.value_row = self.num_cols, self.num_rows
-            self.num_cols += 1
-            self.num_rows += 1
+        value = np.zeros(1, dtype=np.int64)  # new in the first placement only
         marginals = gs.edge_marginal[own_edges]
         payoffs = go.edge_marginal[opp_edges]
-        opp_nodes = np.concatenate((go.tail_nodes()[opp_edges], go.head_nodes()[opp_edges]))
         own_nodes = np.concatenate((gs.tail_nodes()[own_edges], gs.head_nodes()[own_edges]))
-        for positions, parts in ((self.flow_col, own_edges), (self.marginal_col, marginals),
-                                 (self.payoff_col, payoffs), (self.potential_col, opp_nodes)):
-            self.num_cols = _number(positions, parts, self.num_cols)
-        for positions, parts in ((self.potential_row, opp_edges), (self.node_row, own_nodes),
-                                 (self.marginal_row, marginals), (self.payoff_row, payoffs)):
-            self.num_rows = _number(positions, parts, self.num_rows)
+        opp_nodes = np.concatenate((go.tail_nodes()[opp_edges], go.head_nodes()[opp_edges]))
+        self.num_cols = _number(self.cols, self._col_starts, self.num_cols,
+                                (own_edges, marginals, payoffs, opp_nodes, value))
+        self.num_rows = _number(self.rows, self._row_starts, self.num_rows,
+                                (opp_edges, value, own_nodes, marginals, payoffs))
         return True
 
 
-def _number(positions: np.ndarray, parts: np.ndarray, start: int) -> int:
-    """Number the parts among ``parts`` that ``positions`` has no place for
-    yet from ``start`` on; the next free number."""
-    new = np.unique(parts[positions[parts] < 0])
+def _number(positions: np.ndarray, starts: list[int], start: int, parts) -> int:
+    """Number, from ``start`` on, the parts that ``positions`` has no place
+    for yet: per kind ``k``, those at indices ``parts[k]`` among the kind's
+    places from ``starts[k]`` on, kind after kind and each in ascending
+    order.  The next free number."""
+    new = np.zeros(positions.size, dtype=bool)
+    for first, indices in zip(starts, parts):
+        new[first + indices] = True
+    new = np.flatnonzero(new & (positions < 0))
     positions[new] = np.arange(start, start + new.size)
     return start + new.size
 
 
 def _assemble(lay: _Layout, gs: LayeredGraph, go: LayeredGraph, sunk: SunkCostGame,
-              perspective: str) -> LinearProgram:
+              perspective: str, base: LinearProgram | None = None) -> LinearProgram:
     """The maximin LP of ``perspective`` over the parts ``lay`` places.
 
     Every row kind is defined here once: an LP over all parts is
     :func:`build_minimax_lp`'s, and one over fewer parts restricts the
     perspective player to flows on its placed edges and the opponent to
-    paths on its placed edges."""
+    paths on its placed edges.  Given ``base``, the LP of the parts placed
+    before the last placement, the LP extends it: its matrix holds only the
+    entries in the columns and rows beyond ``base``'s."""
     tables, c_self, c_opp = oriented_arrays(sunk, perspective)
     own = np.flatnonzero(lay.flow_col >= 0)
     opp = np.flatnonzero(lay.potential_row >= 0)
@@ -346,7 +383,7 @@ def _assemble(lay: _Layout, gs: LayeredGraph, go: LayeredGraph, sunk: SunkCostGa
     def add(r, c, v):
         rows.append(r)
         cols.append(c)
-        vals.append(np.full(r.size, v) if np.ndim(v) == 0 else np.asarray(v, dtype=float))
+        vals.append(np.full(r.size, v) if isinstance(v, float) else np.asarray(v, dtype=float))
 
     flow = lay.flow_col[own]
     # unit-flow conservation at every node of the perspective player's graph
@@ -374,10 +411,14 @@ def _assemble(lay: _Layout, gs: LayeredGraph, go: LayeredGraph, sunk: SunkCostGa
     add(np.array([lay.value_row, lay.value_row]),
         np.array([lay.value_col, lay.potential_col[go.sink]]), [1.0, -1.0])
 
+    rows, cols, vals = (np.concatenate(part) for part in (rows, cols, vals))
+    if base is not None:
+        held_rows, held_cols = base.a.shape
+        new = (rows >= held_rows) | (cols >= held_cols)
+        rows, cols, vals = rows[new], cols[new], vals[new]
     # zero valuation cells (a sign valuation's ties among them) are not stored
     shape = (lay.num_rows, lay.num_cols)
-    a = CsrMatrix.from_triplets(shape, np.concatenate(rows), np.concatenate(cols),
-                                np.concatenate(vals))
+    a = CsrMatrix.from_triplets(shape, rows, cols, vals)
 
     row_upper = np.zeros(shape[0])
     row_upper[pot] = c_opp.ravel()[go.edge_marginal[opp]]
@@ -395,101 +436,14 @@ def _assemble(lay: _Layout, gs: LayeredGraph, go: LayeredGraph, sunk: SunkCostGa
     objective[lay.marginal_col[marg]] = -c_self.ravel()[marg]
     objective[lay.value_col] = 1.0
     return LinearProgram(sense="max", objective=objective, a=a, row_lower=row_lower,
-                         row_upper=row_upper, lower=lower, upper=upper)
-
-
-def _result_from_solution(model: MinimaxLP, sol: BackendSolution, what: str,
-                          witness: bool = False) -> SolveResult:
-    """The optimum in ``sol`` with its flows built and checked; any other
-    outcome raises :class:`SolverFailureError` naming ``what``."""
-    if sol.status != OPTIMAL:
-        raise SolverFailureError(f"{what} failed: {sol.status} {sol.message}")
-    # the opponent-potential rows lead
-    opponent = None if witness else (model.graph_opp, sol.row_duals[:model.graph_opp.num_edges])
-    return _checked_result(what, float(model.program.objective @ sol.x), sol,
-                           (model.graph_self, sol.x[model.flow_slice]), opponent)
-
-
-def _checked_result(what: str, value: float, sol: BackendSolution,
-                    own: tuple[LayeredGraph, np.ndarray],
-                    opponent: tuple[LayeredGraph, np.ndarray] | None) -> SolveResult:
-    """A result whose flows, each a graph and its edge flows, are valid
-    unit flows; else :class:`SolverFailureError` naming ``what``."""
-    flow = opponent_flow = None
-    try:
-        flow = StrategyFlow(*own)
-        if opponent is not None:
-            opponent_flow = StrategyFlow(*opponent)
-    except InvalidFlowError as exc:
-        which = "flow" if flow is None else "opponent flow from the row duals"
-        raise SolverFailureError(f"{what} unusable: {which}: {exc}") from exc
-    return SolveResult(status=OPTIMAL, value=value, flow=flow, solution=sol,
-                       opponent_flow=opponent_flow)
-
-
-class RestrictedMinimaxLP:
-    """Player A's maximin LP of :func:`build_minimax_lp` over subsets of the
-    two players' edges: flow columns on A's placed edges, potential rows on
-    B's, and only the columns and rows those edges touch.  Its optimum is an
-    equilibrium of the game in which each player keeps to paths over its
-    placed edges, and the optimum's flow and dual flow are strategies of the
-    full game.
-
-    Edges are placed a path at a time, and the parts a path touches are
-    numbered after all parts already placed, so every :attr:`program` starts
-    with the rows and columns of the one before it, unchanged."""
-
-    def __init__(self, sunk: SunkCostGame):
-        self._sunk = sunk
-        self.graph_self = LayeredGraph(sunk.n_hat, sunk.budget_a)
-        self.graph_opp = LayeredGraph(sunk.n_hat, sunk.budget_b)
-        self._layout = _Layout.empty(self.graph_self, self.graph_opp)
-        self.program: LinearProgram | None = None
-
-    def add_paths(self, own=None, opp=None) -> bool:
-        """Place the edges of A's full assignment ``own`` and of B's ``opp``
-        (either may be ``None``) and rebuild :attr:`program`; whether any
-        edge was new."""
-        edges = [np.array([], dtype=np.int64) if s is None else graph.path_edges(s)
-                 for graph, s in ((self.graph_self, own), (self.graph_opp, opp))]
-        if not self._layout.place(self.graph_self, self.graph_opp, *edges):
-            return False
-        self.program = _assemble(self._layout, self.graph_self, self.graph_opp, self._sunk, "A")
-        return True
-
-    def marginals(self, sol: BackendSolution) -> tuple[np.ndarray, np.ndarray]:
-        """A's marginals, read from the marginal columns, and B's, summed
-        from the potential-row duals, as ``(n_hat, budget + 1)`` arrays."""
-        lay, gs, go = self._layout, self.graph_self, self.graph_opp
-        own = np.zeros(lay.marginal_col.size)
-        placed = lay.marginal_col >= 0
-        own[placed] = sol.x[lay.marginal_col[placed]]
-        opp = np.flatnonzero(lay.potential_row >= 0)
-        duals = np.bincount(go.edge_marginal[opp],
-                            weights=sol.row_duals[lay.potential_row[opp]],
-                            minlength=lay.payoff_col.size)
-        return own.reshape(gs.n_hat, gs.budget + 1), duals.reshape(go.n_hat, go.budget + 1)
-
-    def result(self, sol: BackendSolution) -> SolveResult:
-        """The optimum in ``sol`` as a result over the full graphs: both
-        flows zero off the placed edges, and checked."""
-        lay = self._layout
-        flows = []
-        for graph, positions, values in ((self.graph_self, lay.flow_col, sol.x),
-                                         (self.graph_opp, lay.potential_row, sol.row_duals)):
-            flow = np.zeros(graph.num_edges)
-            placed = positions >= 0
-            flow[placed] = values[positions[placed]]
-            flows.append((graph, flow))
-        return _checked_result("edge generation", float(self.program.objective @ sol.x), sol,
-                               *flows)
+                         row_upper=row_upper, lower=lower, upper=upper, base=base)
 
 
 def solve(model: MinimaxLP, backend=None) -> SolveResult:
     """Solve an assembled minimax LP; raises :class:`SolverFailureError`
     unless it gives an optimum with valid flows for both players."""
     backend = backend if backend is not None else get_backend()
-    return _result_from_solution(model, backend.solve(model.program), "minimax solve")
+    return model.result(backend.solve(model.program), "minimax solve")
 
 
 def _statistic_objective(model: MinimaxLP, statistic) -> np.ndarray:
@@ -500,7 +454,7 @@ def _statistic_objective(model: MinimaxLP, statistic) -> np.ndarray:
             f"statistic must supply {n_hat} weight rows of length {d_self + 1}"
         )
     objective = np.zeros(model.num_vars)
-    objective[model.marginal_slice] = [float(x) for row in weights for x in row]
+    objective[model.layout.marginal_col] = [float(x) for row in weights for x in row]
     return objective
 
 
@@ -567,8 +521,8 @@ def equilibrium_statistic_bounds(
     out: dict[str, dict[str, tuple[float, SolveResult]]] = {name: {} for name in objectives}
     for direction in ("min", "max"):
         for name, objective in objectives.items():
-            witness = _result_from_solution(
-                model, backend.solve(replace(face, sense=direction, objective=objective)),
+            witness = model.result(
+                backend.solve(replace(face, sense=direction, objective=objective)),
                 f"stage-two solve for {name}/{direction}", witness=True)
             out[name][direction] = (float(witness.solution.objective), witness)
     return base, out

@@ -14,13 +14,12 @@ an LP with fewer than :data:`SIMPLEX_BELOW_COLUMNS` columns is solved by dual
 simplex, which also ends at a basis.  ``"highs-ds"`` runs dual simplex at
 every size.  :func:`get_backend` gives every caller in a process the same
 backend for a method.  The backend keeps the model of the
-last LP it built.  An LP over that same matrix object, from whichever caller,
+last LP it solved.  An LP over that same matrix object, from whichever caller,
 is solved by changing the model's costs and bounds in place and re-running
-primal simplex from the basis the model holds.  An LP that a caller declares
-an extension of the held one, and that starts with the held LP's columns and
-rows unchanged, gets only its added columns and rows, and is re-solved by
-primal simplex from the held basis too.  An LP over any other
-matrix is built cold.
+primal simplex from the basis the model holds.  An LP whose ``base`` is the
+held LP appends its columns and rows to the held model, and is re-solved by
+primal simplex from the held basis too; such an LP is never built cold.  An
+LP over any other matrix is built cold.
 """
 
 from __future__ import annotations
@@ -137,6 +136,10 @@ class LinearProgram:
 
     A row whose two bounds are equal is an equality; any bound may be
     infinite.  ``a`` is a :class:`CsrMatrix` or any object with its fields.
+    An LP with a ``base`` is that LP with columns and rows appended after
+    its own: the vectors cover every column and row, but ``a`` holds only
+    the entries in the appended columns and rows, so a backend solves it
+    only on top of a held model of ``base``.
     """
 
     sense: str
@@ -146,6 +149,7 @@ class LinearProgram:
     row_upper: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    base: LinearProgram | None = None
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
@@ -224,6 +228,7 @@ def linprog(highs: _Highs) -> HighsRun:
 
 
 _REFUSED = "HiGHS refused the model: an entry is not finite or out of its range"
+_UNHELD = "the backend does not hold the LP this one extends"
 
 
 class ScipyHighsBackend:
@@ -274,16 +279,16 @@ class ScipyHighsBackend:
                 lp.row_lower, lp.row_upper, a.indptr, a.indices, a.data,
                 np.zeros(lp.num_vars, np.int32)) == HighsStatus.kError:
             return _REFUSED
-        return self._held_entries(a)
+        return self._held_entries(a.nnz)
 
-    def _held_entries(self, a: CsrMatrix) -> str:
-        """Why the model HiGHS holds is not ``a``'s, if it holds fewer
-        entries (it drops those at or below its ``small_matrix_value``),
-        else ``""``."""
+    def _held_entries(self, nnz: int) -> str:
+        """Why the model HiGHS holds is not the LP's of ``nnz`` matrix
+        entries, if it holds fewer (it drops those at or below its
+        ``small_matrix_value``), else ``""``."""
         held = self._highs.getNumNz()
-        if held != a.nnz:
+        if held != nnz:
             _, small = self._highs.getOptionValue("small_matrix_value")
-            return (f"HiGHS holds {held} of the LP's {a.nnz} matrix entries: it dropped "
+            return (f"HiGHS holds {held} of the LP's {nnz} matrix entries: it dropped "
                     f"those at or below its small_matrix_value ({small:g})")
         return ""
 
@@ -302,22 +307,21 @@ class ScipyHighsBackend:
         return _REFUSED if HighsStatus.kError in statuses else ""
 
     def _grow(self, lp: LinearProgram, cost: np.ndarray) -> str:
-        """Add ``lp``'s columns and rows beyond the held LP's to the held
+        """Append ``lp``'s columns and rows beyond its base's to the held
         model: first the new columns with their entries in the held rows,
         then the new rows over all columns.  The reason if HiGHS refuses
         them or drops an entry, else ``""``."""
-        (rows, cols), a = self._lp.a.shape, lp.a
-        split = a.indptr[rows]
-        row = np.repeat(np.arange(rows), np.diff(a.indptr[:rows + 1]))
-        col = a.indices[:split]
-        new = np.flatnonzero(col >= cols)
-        new = new[np.argsort(col[new], kind="stable")]  # column-wise, rows ascending
-        starts = np.searchsorted(col[new], np.arange(cols, lp.num_vars))
+        (rows, cols), a = lp.base.a.shape, lp.a
+        nnz = self._highs.getNumNz() + a.nnz
+        split = a.indptr[rows]  # the entries in held rows, every one in a new column
+        order = np.argsort(a.indices[:split], kind="stable")  # column-wise, rows ascending
+        row = np.repeat(np.arange(rows), np.diff(a.indptr[:rows + 1]))[order]
+        starts = np.searchsorted(a.indices[order], np.arange(cols, lp.num_vars))
         statuses = []
         if lp.num_vars > cols:
             statuses.append(self._highs.addCols(
-                lp.num_vars - cols, cost[cols:], lp.lower[cols:], lp.upper[cols:], new.size,
-                starts, row[new], a.data[new]))
+                lp.num_vars - cols, cost[cols:], lp.lower[cols:], lp.upper[cols:], split,
+                starts, row, a.data[order]))
         if lp.num_constraints > rows:
             statuses.append(self._highs.addRows(
                 lp.num_constraints - rows, lp.row_lower[rows:], lp.row_upper[rows:],
@@ -329,18 +333,17 @@ class ScipyHighsBackend:
         self._highs.setOptionValue("presolve", "off")
         if HighsStatus.kError in statuses:
             return _REFUSED
-        return self._held_entries(a)
+        return self._held_entries(nnz)
 
-    def solve(self, lp: LinearProgram, extends: LinearProgram | None = None) -> BackendSolution:
-        """Solve ``lp``.  When ``extends`` is the LP the backend holds and
-        ``lp`` starts with its rows and columns, unchanged, only the added
-        columns and rows go to HiGHS, which re-solves by primal simplex,
-        presolve off, from the held basis.  An ``lp`` that does not start
-        so is built cold."""
+    def solve(self, lp: LinearProgram) -> BackendSolution:
+        """Solve ``lp``.  An ``lp`` with a ``base`` is solved only when the
+        backend holds ``base``: only the added columns and rows go to HiGHS,
+        which re-solves by primal simplex, presolve off, from the held
+        basis.  Otherwise the answer is ``numeric-failure``."""
         sign = 1.0 if lp.sense == "min" else -1.0  # the model minimizes
         cost = sign * lp.objective
-        if extends is not None and extends is self._lp and _starts_with(lp, extends):
-            refused = self._grow(lp, cost)
+        if lp.base is not None:
+            refused = self._grow(lp, cost) if lp.base is self._lp else _UNHELD
         elif self._lp is not None and lp.a is self._lp.a:
             refused = self._change(lp, cost)
         else:
@@ -373,26 +376,6 @@ class ScipyHighsBackend:
                                np.int8, lp.num_vars) == HighsBasisStatus.kLower.value
         sign = 1.0 if lp.sense == "min" else -1.0
         return sign * np.where(at_lower, self._highs.getSolution().col_dual, 0.0)
-
-
-def _starts_with(lp: LinearProgram, held: LinearProgram) -> bool:
-    """Whether ``lp`` holds ``held``'s columns and rows, unchanged, before
-    any it adds: the same sense, costs, bounds and row bounds on them, and,
-    row by row in column order, ``held``'s matrix entries as the entries of
-    ``lp``'s held rows in the held columns."""
-    (rows, cols), a, h = held.a.shape, lp.a, held.a
-    if lp.sense != held.sense or lp.num_constraints < rows or lp.num_vars < cols:
-        return False
-    if not all(np.array_equal(getattr(lp, name)[:size], getattr(held, name))
-               for name, size in (("objective", cols), ("lower", cols), ("upper", cols),
-                                  ("row_lower", rows), ("row_upper", rows))):
-        return False
-    split = a.indptr[rows]
-    old = a.indices[:split] < cols
-    row = np.repeat(np.arange(rows), np.diff(a.indptr[:rows + 1]))
-    return (np.array_equal(np.bincount(row[old], minlength=rows), np.diff(h.indptr))
-            and np.array_equal(a.indices[:split][old], h.indices)
-            and np.array_equal(a.data[:split][old], h.data))
 
 
 def get_backend(name: str = DEFAULT_BACKEND) -> ScipyHighsBackend:

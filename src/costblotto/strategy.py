@@ -21,8 +21,8 @@ from .game import (
     PureStrategy,
     check_partial_assignment,
 )
-from .minimax import (FEAS_EPS, InvalidFlowError, RestrictedMinimaxLP, SolveResult,
-                      StrategyFlow, build_minimax_lp, solve)
+from .minimax import (FEAS_EPS, InvalidFlowError, MinimaxLP, SolveResult, StrategyFlow,
+                      build_minimax_lp, solve)
 from .reduction import SunkCostGame, build_sunk_cost, map_strategy, oriented_arrays
 from .solver import OPTIMAL, SolverFailureError, get_backend
 
@@ -269,18 +269,19 @@ def solve_by_generation(sunk: SunkCostGame, backend=None) -> SolveResult:
     the edges of both layered graphs, or column-and-row generation on the
     LP of :func:`build_minimax_lp`.
 
-    The restricted LP starts from each player's best response to the
-    opponent idling, with every resource on the extra battlefield.  Each
-    round solves it, then finds both players' DP best responses to the
-    other's restricted optimum, A's marginals read from the marginal columns
-    and B's from the potential-row duals; a best response that gains more
-    than :data:`GENERATION_GAP` adds its path's edges.  When neither does,
-    the restricted optimum is an equilibrium of the full game.  All rounds
-    run on one HiGHS model held by ``backend`` (the default one, whose
-    simplex size rule takes the small first round), which gets only the new
-    columns and rows.  The result's flows are over the full graphs, its
-    value is the restricted objective, and its solution is the last round's
-    with the rounds' iterations summed.
+    The restricted :class:`MinimaxLP` starts from each player's best
+    response to the opponent idling, with every resource on the extra
+    battlefield.  Each round solves it, then finds both players' DP best
+    responses to the other's restricted optimum, A's marginals read from the
+    marginal columns and B's from the potential-row duals; a best response
+    that gains more than :data:`GENERATION_GAP` places its path's edges.
+    When neither does, the restricted optimum is an equilibrium of the full
+    game.  All rounds run on one HiGHS model held by ``backend`` (the
+    default one, whose simplex size rule takes the small first round), to
+    which each round appends only the columns and rows its placement adds.
+    The result's flows are over the full graphs, its value is the restricted
+    objective, and its solution is the last round's with the rounds'
+    iterations summed.
 
     A round that adds no edge while a gap is still open ends the rounds:
     its restricted optimum is returned when the gaps are within
@@ -289,17 +290,17 @@ def solve_by_generation(sunk: SunkCostGame, backend=None) -> SolveResult:
     when a round ends unsolved or its marginals are unusable, or when a
     stall's full LP fails."""
     backend = backend if backend is not None else get_backend()
-    lp = RestrictedMinimaxLP(sunk)
-    lp.add_paths(best_response_value(sunk, _idle(sunk.n_hat, sunk.budget_b), "A")[1],
-                 best_response_value(sunk, _idle(sunk.n_hat, sunk.budget_a), "B")[1])
-    held, iterations = None, 0
+    lp = MinimaxLP(sunk)
+    gs, go = lp.graph_self, lp.graph_opp
+    lp.place(gs.path_edges(best_response_value(sunk, _idle(sunk.n_hat, sunk.budget_b), "A")[1]),
+             go.path_edges(best_response_value(sunk, _idle(sunk.n_hat, sunk.budget_a), "B")[1]))
+    iterations = 0
     while True:
-        sol = backend.solve(lp.program, extends=held)
-        held = lp.program
+        sol = backend.solve(lp.program)
         if sol.status != OPTIMAL:
             raise SolverFailureError(f"edge generation failed: {sol.status} {sol.message}")
         iterations += sol.iterations
-        value = float(held.objective @ sol.x)
+        value = float(lp.program.objective @ sol.x)
         try:
             marg_a, marg_b = (Marginals(tables=tuple(map(tuple, m.tolist())))
                               for m in lp.marginals(sol))
@@ -309,13 +310,15 @@ def solve_by_generation(sunk: SunkCostGame, backend=None) -> SolveResult:
         gain_b, path_b = best_response_value(sunk, marg_a, "B")
         open_a, open_b = gain_a - value > GENERATION_GAP, gain_b + value > GENERATION_GAP
         if not (open_a or open_b):
-            return lp.result(replace(sol, iterations=iterations))
-        if lp.add_paths(path_a if open_a else None, path_b if open_b else None):
+            return lp.result(replace(sol, iterations=iterations), "edge generation")
+        none = np.array([], dtype=np.int64)
+        if lp.place(gs.path_edges(path_a) if open_a else none,
+                    go.path_edges(path_b) if open_b else none):
             continue
         # both best responses already lie in the restricted LP, so what is
         # left of the gaps is the LP's round-off at the game's payoff scale
         if max(gain_a - value, gain_b + value) <= _stall_tolerance(sunk):
-            return lp.result(replace(sol, iterations=iterations))
+            return lp.result(replace(sol, iterations=iterations), "edge generation")
         try:
             return solve(build_minimax_lp(sunk, "A"), backend)
         except SolverFailureError as exc:

@@ -423,11 +423,11 @@ class FaceClosingBackend(ScipyHighsBackend):
 
     def __init__(self, game):
         super().__init__()
-        self.flow_slice = build_minimax_lp(build_sunk_cost(game), "A").flow_slice
+        self.flow_cols = build_minimax_lp(build_sunk_cost(game), "A").layout.flow_col
 
     def reduced_costs(self):
         reduced = super().reduced_costs()
-        reduced[self.flow_slice] = -1.0
+        reduced[self.flow_cols] = -1.0
         return reduced
 
 

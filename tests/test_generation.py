@@ -13,8 +13,8 @@ from costblotto import (build_minimax_lp, build_sunk_cost, certify_equilibrium, 
                         enumerate_strategies, solve, strategy)
 from costblotto.cli import GENERATE_FROM_BATTLEFIELDS, main
 from costblotto.config import parse_game_config
-from costblotto.minimax import RestrictedMinimaxLP
-from costblotto.solver import ScipyHighsBackend, SolverFailureError
+from costblotto.minimax import MinimaxLP, _assemble
+from costblotto.solver import NUMERIC_FAILURE, ScipyHighsBackend, SolverFailureError
 from costblotto.strategy import (GENERATION_GAP, best_response_value, marginals_from_flow,
                                  solve_by_generation)
 from conftest import DECIMAL_INCREMENTS, random_game
@@ -101,83 +101,116 @@ class TestHeldModel:
         assert calls["_build"] == 1 and calls["_grow"] >= 1
 
     def test_programs_extend_each_other(self):
+        # each placement appends columns and rows: the whole LP of the placed
+        # edges starts with the one before it, unchanged, and the program
+        # holds that LP's bounds and costs and only its entries beyond it
         sunk = build_sunk_cost(generation_games("decimal", 1)[0])
-        lp = RestrictedMinimaxLP(sunk)
-        rng = random.Random(5)
-        pools = [enumerate_strategies(d, sunk.n_hat, full=True)
-                 for d in (sunk.budget_a, sunk.budget_b)]
-        assert lp.add_paths(*(rng.choice(pool) for pool in pools))
+        lp, rng = MinimaxLP(sunk), random.Random(5)
+        assert lp.place(*_random_paths(lp, rng))
+        before = _whole(lp)
+        assert lp.program.base is None
+        assert np.array_equal(_dense(lp.program), _dense(before))
         for _ in range(6):
-            before = lp.program
-            assert lp.add_paths(*(rng.choice(pool) for pool in pools))
-            after = lp.program
+            base = lp.program
+            assert lp.place(*_random_paths(lp, rng))
+            after = _whole(lp)
+            assert lp.program.base is base
             rows, cols = before.a.shape
             assert np.array_equal(_dense(after)[:rows, :cols], _dense(before))
-            for field in ("objective", "lower", "upper"):
-                assert np.array_equal(getattr(after, field)[:cols], getattr(before, field))
-            for field in ("row_lower", "row_upper"):
-                assert np.array_equal(getattr(after, field)[:rows], getattr(before, field))
+            for field, size in (("objective", cols), ("lower", cols), ("upper", cols),
+                                ("row_lower", rows), ("row_upper", rows)):
+                assert np.array_equal(getattr(after, field)[:size], getattr(before, field))
+                assert np.array_equal(getattr(lp.program, field), getattr(after, field))
+            added = _dense(after)
+            added[:rows, :cols] = 0.0
+            assert np.array_equal(_dense(lp.program), added)
+            before = after
 
     def test_grown_model_is_the_program(self):
         # each round's warm answer is a cold solve's, and HiGHS holds the
-        # program's matrix and bounds
+        # whole LP of the placed edges, assembled cold
         sunk = build_sunk_cost(generation_games("decimal", 1)[0])
-        lp = RestrictedMinimaxLP(sunk)
-        rng = random.Random(6)
-        pools = [enumerate_strategies(d, sunk.n_hat, full=True)
-                 for d in (sunk.budget_a, sunk.budget_b)]
-        backend, held = ScipyHighsBackend(), None
+        lp, rng = MinimaxLP(sunk), random.Random(6)
+        backend = ScipyHighsBackend()
         for _ in range(5):
-            lp.add_paths(*(rng.choice(pool) for pool in pools))
-            warm = backend.solve(lp.program, extends=held)
-            held = lp.program
-            cold = ScipyHighsBackend().solve(held)
+            lp.place(*_random_paths(lp, rng))
+            warm = backend.solve(lp.program)
+            whole = _whole(lp)
+            cold = ScipyHighsBackend().solve(whole)
             assert warm.status == cold.status == "optimal"
             assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
             model = backend._highs.getLp()
-            expected = sp.csr_matrix(_dense(held)).tocsc()
+            expected = sp.csr_matrix(_dense(whole)).tocsc()
             matrix = model.a_matrix_
-            assert (matrix.num_row_, matrix.num_col_) == held.a.shape
+            assert (matrix.num_row_, matrix.num_col_) == whole.a.shape
             for got, want in ((matrix.start_, expected.indptr), (matrix.index_, expected.indices),
-                              (matrix.value_, expected.data), (model.row_lower_, held.row_lower),
-                              (model.row_upper_, held.row_upper), (model.col_lower_, held.lower),
-                              (model.col_upper_, held.upper), (model.col_cost_, -held.objective)):
+                              (matrix.value_, expected.data), (model.row_lower_, whole.row_lower),
+                              (model.row_upper_, whole.row_upper), (model.col_lower_, whole.lower),
+                              (model.col_upper_, whole.upper), (model.col_cost_, -whole.objective)):
                 assert np.array_equal(np.asarray(got), want)
 
-    def test_program_that_does_not_extend_is_built_cold(self, monkeypatch):
-        # the same paths placed in another order number the parts otherwise
+    def test_addition_to_a_model_not_held_is_refused(self, monkeypatch):
+        # an addition is never built cold as if it were a whole LP
         sunk = build_sunk_cost(generation_games("decimal", 1)[0])
-        pools = [enumerate_strategies(d, sunk.n_hat, full=True)
-                 for d in (sunk.budget_a, sunk.budget_b)]
-        first, second = ([pool[k % len(pool)] for pool in pools] for k in (0, 1))
-        held, other = RestrictedMinimaxLP(sunk), RestrictedMinimaxLP(sunk)
-        held.add_paths(*first)
-        other.add_paths(*second)
-        other.add_paths(*first)
+        lp, rng = MinimaxLP(sunk), random.Random(7)
+        lp.place(*_random_paths(lp, rng))
         backend = ScipyHighsBackend()
-        backend.solve(held.program)
-        grown = []
-        original = ScipyHighsBackend._grow
-        monkeypatch.setattr(ScipyHighsBackend, "_grow",
-                            lambda self, *args: grown.append(args) or original(self, *args))
-        warm = backend.solve(other.program, extends=held.program)
-        cold = ScipyHighsBackend().solve(other.program)
-        assert not grown
-        assert warm.status == cold.status == "optimal"
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+        assert backend.solve(lp.program).status == "optimal"
+        assert backend.solve(build_minimax_lp(sunk, "A").program).status == "optimal"
+        built = []
+        original = ScipyHighsBackend._build
+        monkeypatch.setattr(ScipyHighsBackend, "_build",
+                            lambda self, program, *args: built.append(program)
+                            or original(self, program, *args))
+        assert lp.place(*_random_paths(lp, rng))
+        refused = backend.solve(lp.program)
+        assert refused.status == NUMERIC_FAILURE and refused.x is None
+        assert "does not hold" in refused.message
+        assert built == []
+        # the backend builds the next whole LP cold
+        assert backend.solve(_whole(lp)).status == "optimal"
+        assert [program.base for program in built] == [None]
+
+    def test_generation_on_a_model_not_held_fails(self):
+        # a backend that solves another LP after every round holds no
+        # round's LP, so the next round's addition is refused
+        sunk = build_sunk_cost(generation_games("dyadic", 1)[0])
+        other = build_minimax_lp(sunk, "B").program
+
+        class Forgetful(ScipyHighsBackend):
+            def solve(self, lp):
+                sol = super().solve(lp)
+                super().solve(other)
+                return sol
+
+        with pytest.raises(SolverFailureError, match="edge generation failed: numeric-failure"):
+            solve_by_generation(sunk, Forgetful())
 
     def test_every_path_gives_the_full_lps_value(self):
         game = generation_games("dyadic", 1)[0]
         sunk = build_sunk_cost(game)
-        lp = RestrictedMinimaxLP(sunk)
+        lp = MinimaxLP(sunk)
         pools = [enumerate_strategies(d, sunk.n_hat, full=True)
                  for d in (sunk.budget_a, sunk.budget_b)]
         for k in range(max(map(len, pools))):
-            lp.add_paths(*(pool[k] if k < len(pool) else None for pool in pools))
+            lp.place(*(graph.path_edges(pool[k]) if k < len(pool) else np.array([], np.int64)
+                       for graph, pool in zip((lp.graph_self, lp.graph_opp), pools)))
         # last-layer edges that miss the sink lie on no path and stay out
-        cold = ScipyHighsBackend().solve(lp.program)
+        cold = ScipyHighsBackend().solve(_whole(lp))
         assert cold.objective == pytest.approx(solve(build_minimax_lp(sunk, "A")).value,
                                                abs=1e-9)
+
+
+def _random_paths(lp, rng):
+    """The edges of a random full assignment of each player."""
+    return [graph.path_edges(rng.choice(enumerate_strategies(graph.budget, graph.n_hat,
+                                                             full=True)))
+            for graph in (lp.graph_self, lp.graph_opp)]
+
+
+def _whole(lp):
+    """The whole LP of the edges ``lp`` has placed, assembled cold."""
+    return _assemble(lp.layout, lp.graph_self, lp.graph_opp, lp._sunk, "A")
 
 
 def _dense(program):

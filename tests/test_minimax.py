@@ -169,8 +169,8 @@ class TestBuildMinimaxLp:
         model = build_minimax_lp(build_sunk_cost(example_game), "A")
         obj = model.program.objective
         assert model.program.sense == "max"
-        assert obj[model.value_index] == 1.0
-        assert obj[model.marginal_slice].tolist() == [0, 0, 0, 0, 0, 0, -2, -1, 0]
+        assert obj[model.layout.value_col] == 1.0
+        assert obj[model.layout.marginal_col].tolist() == [0, 0, 0, 0, 0, 0, -2, -1, 0]
         assert np.count_nonzero(obj) == 3
 
     @pytest.mark.parametrize("family", ["sweep", "solve-pair-ladder-small", "criterion-3",
@@ -181,8 +181,8 @@ class TestBuildMinimaxLp:
                 model = build_minimax_lp(build_sunk_cost(game), perspective)
                 own = own_cost_rows(game, perspective)
                 expected = np.zeros(model.num_vars)
-                expected[model.marginal_slice] = [-float(c) for row in own for c in row]
-                expected[model.value_index] = 1.0
+                expected[model.layout.marginal_col] = [-float(c) for row in own for c in row]
+                expected[model.layout.value_col] = 1.0
                 assert np.array_equal(model.program.objective, expected)
 
     @pytest.mark.parametrize("perspective", "AB")
@@ -214,6 +214,24 @@ class TestBuildMinimaxLp:
             assert np.array_equal(getattr(first.a, field), getattr(second.a, field))
         assert np.array_equal(first.row_lower, second.row_lower)
         assert np.array_equal(first.row_upper, second.row_upper)
+
+    @pytest.mark.parametrize("perspective", "AB")
+    @pytest.mark.parametrize("budgets", [(8, 5), (3, 7), (0, 4)])
+    def test_numbering_other_code_reads(self, perspective, budgets):
+        # face_masks, _optimal_face and the opponent-flow readback take the
+        # flow columns and then the potential rows and the value row as
+        # leading, and the value column as last
+        model = build_minimax_lp(build_sunk_cost(sweep_point_game(3, *budgets, 2.5)),
+                                 perspective)
+        lay, program = model.layout, model.program
+        own, opp = model.graph_self.num_edges, model.graph_opp.num_edges
+        assert model.graph_self.budget != model.graph_opp.budget
+        assert np.array_equal(lay.flow_col, np.arange(own))
+        assert np.array_equal(lay.potential_row, np.arange(opp))
+        assert lay.value_row == opp
+        assert lay.value_col == model.num_vars - 1
+        assert program.objective[-1] == 1.0 and program.row_lower[opp] == -np.inf
+        assert program.base is None
 
 
 def _ladder_game(rng, setting, n, d_a, d_b):
