@@ -24,7 +24,6 @@ from .minimax import (
     build_minimax_lp,
     equilibrium_statistic_bounds,
     expenditure_statistic,
-    face_masks,
     resource_statistic,
     solve,
 )
@@ -146,9 +145,10 @@ def cmd_bounds(config: str, statistic: str, out: str) -> dict:
     base, bounds = equilibrium_statistic_bounds(
         game, {statistic: _STATISTICS[statistic](game)})
     xi_b = _unmapped(decompose_flow(base.opponent_flow), game.budget_b)
-    fixed, tight = face_masks(base)
-    payload = {"statistic": statistic, "player": "A", "value": base.value,
-               "face": {"fixed_columns": int(fixed.sum()), "tight_rows": int(tight.sum())}}
+    # A's edges off the face, and B's support rows plus the value row
+    face = {"fixed_columns": int((~base.face_edges).sum()),
+            "tight_rows": int((base.opponent_flow.edge_flow > 0).sum()) + 1}
+    payload = {"statistic": statistic, "player": "A", "value": base.value, "face": face}
     for direction in ("min", "max"):
         bound, witness = bounds[statistic][direction]
         xi = _unmapped(decompose_flow(witness.flow), game.budget_a)

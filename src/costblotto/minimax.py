@@ -31,8 +31,8 @@ from .solver import (OPTIMAL, BackendSolution, CsrMatrix, LinearProgram, SolverF
 
 #: Flow conservation / feasibility tolerance.
 FEAS_EPS = 1e-7
-#: Flows, duals and reduced costs smaller than this are treated as exact
-#: zeros after a solve.
+#: Flows and duals smaller than this are treated as exact zeros after a
+#: solve.
 FLOW_DUST = 1e-9
 
 
@@ -253,16 +253,18 @@ class SolveResult:
     optimum, and at every point of its optimal face, is the game value seen
     from the perspective player.  ``opponent_flow``, the opponent's
     equilibrium flow read from the row duals, is set by minimax solves only,
-    not by optimal-face witnesses.
-    ``solution`` is the backend's answer: its iteration counts and row duals
-    and, for the stage one of :func:`equilibrium_statistic_bounds` only, the
-    reduced costs that with the row duals define the optimal face."""
+    not by optimal-face witnesses.  ``face_edges``, set on the stage one of
+    :func:`equilibrium_statistic_bounds` only, marks the perspective
+    player's edges on the optimal face its witnesses were optimized over.
+    ``solution`` is the backend's answer: its iteration counts and row
+    duals."""
 
     status: str
     value: float
     flow: StrategyFlow
     solution: BackendSolution
     opponent_flow: StrategyFlow | None = None
+    face_edges: np.ndarray | None = None
 
 
 def _scatter(positions: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -274,8 +276,11 @@ def _scatter(positions: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_minimax_lp(sunk: SunkCostGame, perspective: str = "A") -> MinimaxLP:
-    """Assemble the maximin LP of ``perspective`` over both layered graphs.
+def build_minimax_lp(sunk: SunkCostGame, perspective: str = "A", own_edges=None,
+                     opp_edges=None) -> MinimaxLP:
+    """Assemble the maximin LP of ``perspective`` over both layered graphs,
+    or over the perspective player's edges ``own_edges`` and the opponent's
+    ``opp_edges`` only, where given: see :class:`MinimaxLP`.
 
     The perspective player maximizes a value variable, bounded by the
     opponent's sink potential, less its expected own costs; potentials are
@@ -285,7 +290,8 @@ def build_minimax_lp(sunk: SunkCostGame, perspective: str = "A") -> MinimaxLP:
     optimum the objective is the game value seen from ``perspective``.
     """
     model = MinimaxLP(sunk, perspective)
-    model.place(np.arange(model.graph_self.num_edges), np.arange(model.graph_opp.num_edges))
+    model.place(np.arange(model.graph_self.num_edges) if own_edges is None else own_edges,
+                np.arange(model.graph_opp.num_edges) if opp_edges is None else opp_edges)
     return model
 
 
@@ -439,62 +445,35 @@ def _assemble(lay: _Layout, gs: LayeredGraph, go: LayeredGraph, sunk: SunkCostGa
                          row_upper=row_upper, lower=lower, upper=upper, base=base)
 
 
-def solve(model: MinimaxLP, backend=None) -> SolveResult:
+def solve(model: MinimaxLP, backend=None, program: LinearProgram | None = None,
+          what: str = "minimax solve") -> SolveResult:
     """Solve an assembled minimax LP; raises :class:`SolverFailureError`
-    unless it gives an optimum with valid flows for both players."""
+    naming ``what`` unless it gives an optimum with valid flows for both
+    players.  Given ``program``, the model's LP under other costs and
+    bounds (a statistic over the optimal face), solve that instead: its
+    optimum is a witness, with a checked flow and, since its row duals
+    price the statistic, no opponent flow."""
     backend = backend if backend is not None else get_backend()
-    return model.result(backend.solve(model.program), "minimax solve")
+    witness = program is not None
+    return model.result(backend.solve(program if witness else model.program), what, witness)
 
 
 def _statistic_objective(model: MinimaxLP, statistic) -> np.ndarray:
+    """The objective of ``statistic``, a weight per battlefield and own
+    assignment, on ``model``'s LP: each placed marginal column gets its
+    weight, every other column 0."""
     n_hat, d_self = model.graph_self.n_hat, model.graph_self.budget
     weights = [tuple(row) for row in statistic]
     if len(weights) != n_hat or any(len(row) != d_self + 1 for row in weights):
         raise ValueError(
             f"statistic must supply {n_hat} weight rows of length {d_self + 1}"
         )
+    weights = np.array([float(x) for row in weights for x in row])
     objective = np.zeros(model.num_vars)
-    objective[model.layout.marginal_col] = [float(x) for row in weights for x in row]
+    marginal_col = model.layout.marginal_col
+    placed = marginal_col >= 0
+    objective[marginal_col[placed]] = weights[placed]
     return objective
-
-
-def _solve_with_face(model: MinimaxLP, backend) -> SolveResult:
-    """:func:`solve`, with the reduced costs of the optimum read from the
-    model ``backend`` still holds, as :func:`face_masks` needs them."""
-    result = solve(model, backend)
-    return replace(result, solution=replace(result.solution,
-                                            reduced_costs=backend.reduced_costs()))
-
-
-def face_masks(result: SolveResult) -> tuple[np.ndarray, np.ndarray]:
-    """Columns with a nonzero reduced cost and ``<=`` rows with a nonzero
-    dual in a minimax optimum from :func:`_solve_with_face`, both beyond
-    ``FLOW_DUST``.  The ``<=`` rows lead: one per opponent edge, then the
-    value row."""
-    sol = result.solution
-    return (np.abs(sol.reduced_costs) > FLOW_DUST,
-            np.abs(sol.row_duals[:result.opponent_flow.graph.num_edges + 1]) > FLOW_DUST)
-
-
-def _optimal_face(model: MinimaxLP, result: SolveResult) -> LinearProgram:
-    """The LP of ``model`` restricted to the optimal face of its solution.
-
-    By complementary slackness with the optimal dual of ``result``, a feasible
-    point is optimal exactly when every column with a nonzero reduced cost
-    sits on its lower bound (A's flow edges on no best response to B's dual
-    equilibrium) and every ``<=`` row with a nonzero dual (B's dual-flow
-    support and the value row) is tight: fix the former, and raise the
-    latter's ``row_lower`` to its ``row_upper``.  The face keeps the stage-one
-    matrix, so a backend that holds the stage-one model re-solves it from the
-    stage-one basis."""
-    base = model.program
-    fixed, tight = face_masks(result)
-    upper = base.upper.copy()
-    upper[fixed] = base.lower[fixed]
-    rows = np.flatnonzero(tight)
-    row_lower = base.row_lower.copy()
-    row_lower[rows] = base.row_upper[rows]
-    return replace(base, upper=upper, row_lower=row_lower)
 
 
 def equilibrium_statistic_bounds(
@@ -503,29 +482,72 @@ def equilibrium_statistic_bounds(
 ) -> tuple[SolveResult, dict[str, dict[str, tuple[float, SolveResult]]]]:
     """Extremal equilibrium values of marginal-linear statistics for player A.
 
-    Stage one solves the reduced game; stage two optimizes each statistic
-    over the stage-one LP's optimal face, which is exactly A's equilibrium
-    set, so every witness is itself an equilibrium strategy.  All statistics
-    share stage one and its face, which keeps min and max comparable
-    bound-for-bound.  Stage two runs direction by direction, each statistic
-    in turn: where one statistic is a multiple of the one before it (in the
-    sweep family expenditure is c0 times resources), its solve starts from
-    an optimal basis.
+    Stage one grows a restricted LP to a minimax optimum by edge generation
+    (:func:`~costblotto.strategy.generate_edges`) on one model the backend
+    holds.  Its optimal face is exactly A's equilibrium set, so every
+    witness is itself an equilibrium strategy.  By complementary slackness
+    with a full optimal dual that the dynamic program builds from B's
+    equilibrium flow, a feasible point is on the face exactly when A's flow
+    uses only edges of A's best responses to B's equilibrium marginals,
+    within the gap that stopped generation
+    (:func:`~costblotto.strategy.best_response_edges`), and B's support
+    rows and the value row are tight.
+
+    Stage two places every face edge on the held model, fixes the other
+    placed A edges at 0, tightens those rows and optimizes each statistic
+    warm.  The model holds only some of B's rows, so while B's DP best
+    response to a witness beats the value by more than
+    :data:`~costblotto.strategy.GENERATION_GAP`, its path's rows are placed
+    and the statistic is solved again; a response whose rows are all placed
+    is accepted within :func:`~costblotto.strategy.stall_tolerance`.  All
+    statistics share stage one and its face, which keeps min and max
+    comparable bound-for-bound.  The solves run direction by direction,
+    each statistic in turn, so one that is a multiple of the one before it
+    (in the sweep family expenditure is c0 times resources) starts from an
+    optimal basis.  The stage-one result carries the face as
+    ``face_edges``.
     """
+    # the dynamic program and edge generation are built on this module
+    from .strategy import (GENERATION_GAP, best_response_edges, best_response_value,
+                           generate_edges, generation_start, marginals_from_flow,
+                           stall_tolerance)
+
     backend = get_backend()
-    model = build_minimax_lp(build_sunk_cost(game), "A")
-    base = _solve_with_face(model, backend)
-    face = _optimal_face(model, base)
-    objectives = {name: _statistic_objective(model, statistic)
-                  for name, statistic in statistics.items()}
-    out: dict[str, dict[str, tuple[float, SolveResult]]] = {name: {} for name in objectives}
+    sunk = build_sunk_cost(game)
+    model = build_minimax_lp(sunk, "A", *generation_start(sunk))
+    base, tolerance = generate_edges(model, sunk, backend)
+    on_face = best_response_edges(sunk, marginals_from_flow(base.opponent_flow), "A",
+                                  tolerance)
+    none = np.array([], dtype=np.int64)
+    model.place(np.flatnonzero(on_face), none)
+    lay = model.layout
+    fixed = lay.flow_col[(lay.flow_col >= 0) & ~on_face]
+    tight = np.append(lay.potential_row[base.opponent_flow.edge_flow > 0], lay.value_row)
+    out: dict[str, dict[str, tuple[float, SolveResult]]] = {name: {} for name in statistics}
     for direction in ("min", "max"):
-        for name, objective in objectives.items():
-            witness = model.result(
-                backend.solve(replace(face, sense=direction, objective=objective)),
-                f"stage-two solve for {name}/{direction}", witness=True)
+        for name, statistic in statistics.items():
+            what = f"stage-two solve for {name}/{direction}"
+            while True:
+                program = model.program
+                upper, row_lower = program.upper.copy(), program.row_lower.copy()
+                upper[fixed] = 0.0
+                row_lower[tight] = program.row_upper[tight]
+                face = replace(program, sense=direction, upper=upper, row_lower=row_lower,
+                               objective=_statistic_objective(model, statistic))
+                witness = solve(model, backend, face, what)
+                gain_b, path_b = best_response_value(sunk, marginals_from_flow(witness.flow),
+                                                     "B")
+                gap = gain_b + base.value
+                if gap <= GENERATION_GAP:
+                    break
+                if not model.place(none, model.graph_opp.path_edges(path_b)):
+                    if gap <= stall_tolerance(sunk):
+                        break
+                    raise SolverFailureError(
+                        f"{what} stalled: B's best response gains {gap:.3g} over the "
+                        f"value with every edge of it placed")
             out[name][direction] = (float(witness.solution.objective), witness)
-    return base, out
+    return replace(base, face_edges=on_face), out
 
 
 def resource_statistic(game: CostBlottoGame) -> tuple[tuple[float, ...], ...]:

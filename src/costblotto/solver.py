@@ -16,8 +16,9 @@ every size.  :func:`get_backend` gives every caller in a process the same
 backend for a method.  The backend keeps the model of the
 last LP it solved.  An LP over that same matrix object, from whichever caller,
 is solved by changing the model's costs and bounds in place and re-running
-primal simplex from the basis the model holds.  An LP whose ``base`` is the
-held LP appends its columns and rows to the held model, and is re-solved by
+primal simplex from the basis the model holds.  An LP whose ``base`` has the
+held LP's matrix appends its columns and rows to the held model, takes the
+costs and bounds in which it differs from the held LP, and is re-solved by
 primal simplex from the held basis too; such an LP is never built cold.  An
 LP over any other matrix is built cold.
 """
@@ -30,7 +31,6 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import cache
-from operator import attrgetter
 
 import numpy as np
 
@@ -68,8 +68,8 @@ def _load_binding():
 
 try:
     _core = _load_binding()
-    HighsBasisStatus, HighsModelStatus, HighsStatus, _Highs = (
-        _core.HighsBasisStatus, _core.HighsModelStatus, _core.HighsStatus, _core._Highs)
+    HighsModelStatus, HighsStatus, _Highs = (
+        _core.HighsModelStatus, _core.HighsStatus, _core._Highs)
 except (ImportError, AttributeError) as exc:
     raise ImportError("costblotto needs scipy>=1.17.1, whose binding of HiGHS's own "
                       "Highs class (scipy.optimize._highspy._core._Highs) it uses") from exc
@@ -177,9 +177,6 @@ class BackendSolution:
     """A backend's answer.  ``row_duals`` holds, per row, the rate at which
     the optimum grows as that row's bounds rise (so >= 0 on a row held at its
     ``row_upper`` in a ``max`` LP), and is set for optimal solutions only.
-    ``reduced_costs`` is never set by :meth:`ScipyHighsBackend.solve`: a
-    caller that needs the optimal face reads them with
-    :meth:`ScipyHighsBackend.reduced_costs` and stores them here.
     ``lp_solver`` names the HiGHS solver, ``"ipm"`` or ``"simplex"``, as
     :class:`HighsRun` reads it."""
 
@@ -191,7 +188,6 @@ class BackendSolution:
     crossover_iterations: int = 0
     lp_solver: str = ""
     row_duals: np.ndarray | None = None
-    reduced_costs: np.ndarray | None = None
 
 
 #: ``linprog``'s status codes of HiGHS model statuses; any other is 4.
@@ -241,7 +237,8 @@ class ScipyHighsBackend:
     the held LP's (the same object) only changes the model's costs and
     bounds and re-solves by primal simplex from the held basis, whoever
     built the held LP: a caller that needs a cold solve of such an LP uses
-    a backend of its own.  Feasibility tolerances are requested well below
+    a backend of its own.  An LP whose ``base`` has the held matrix grows
+    the held model the same way.  Feasibility tolerances are requested well below
     the package-wide flow tolerance so returned solutions survive the
     post-solve conservation checks.
     """
@@ -293,13 +290,23 @@ class ScipyHighsBackend:
         return ""
 
     def _change(self, lp: LinearProgram, cost: np.ndarray) -> str:
-        """Change the held model's costs and bounds to ``lp``'s; the reason
-        if HiGHS refuses a change (a NaN bound), else ``""``."""
-        cols = np.arange(lp.num_vars)
-        statuses = [self._highs.changeColsCost(len(cols), cols, cost),
-                    self._highs.changeColsBounds(len(cols), cols, lp.lower, lp.upper)]
+        """Give the held model's columns and rows ``lp``'s costs and bounds
+        where they differ from the held LP's; the reason if HiGHS refuses a
+        change (a NaN bound), else ``""``.  ``lp`` may have more columns and
+        rows than the held LP, already appended with their own."""
         held = self._lp
-        moved = (lp.row_lower != held.row_lower) | (lp.row_upper != held.row_upper)
+        cols, rows = held.num_vars, held.num_constraints
+        held_cost = (1.0 if held.sense == "min" else -1.0) * held.objective
+        statuses = []
+        moved = np.flatnonzero(cost[:cols] != held_cost)
+        if moved.size:
+            statuses.append(self._highs.changeColsCost(moved.size, moved, cost[moved]))
+        moved = np.flatnonzero((lp.lower[:cols] != held.lower) | (lp.upper[:cols] != held.upper))
+        if moved.size:
+            statuses.append(self._highs.changeColsBounds(moved.size, moved, lp.lower[moved],
+                                                         lp.upper[moved]))
+        moved = ((lp.row_lower[:rows] != held.row_lower)
+                 | (lp.row_upper[:rows] != held.row_upper))
         statuses += [self._highs.changeRowBounds(row, lp.row_lower[row], lp.row_upper[row])
                      for row in np.flatnonzero(moved)]
         self._highs.setOptionValue("solver", "simplex")
@@ -337,15 +344,18 @@ class ScipyHighsBackend:
 
     def solve(self, lp: LinearProgram) -> BackendSolution:
         """Solve ``lp``.  An ``lp`` with a ``base`` is solved only when the
-        backend holds ``base``: only the added columns and rows go to HiGHS,
-        which re-solves by primal simplex, presolve off, from the held
-        basis.  Otherwise the answer is ``numeric-failure``."""
+        backend holds ``base``'s matrix: only the added columns and rows, and
+        the costs and bounds that differ from the held LP's, go to HiGHS,
+        which re-solves by primal simplex, presolve off, from the held basis.
+        Otherwise the answer is ``numeric-failure``."""
         sign = 1.0 if lp.sense == "min" else -1.0  # the model minimizes
         cost = sign * lp.objective
-        if lp.base is not None:
-            refused = self._grow(lp, cost) if lp.base is self._lp else _UNHELD
-        elif self._lp is not None and lp.a is self._lp.a:
+        held = self._lp
+        if held is not None and lp.a is held.a:
             refused = self._change(lp, cost)
+        elif lp.base is not None:
+            refused = (self._grow(lp, cost) or self._change(lp, cost)
+                       if held is not None and lp.base.a is held.a else _UNHELD)
         else:
             refused = self._build(lp, cost)
         if refused:
@@ -363,19 +373,6 @@ class ScipyHighsBackend:
         return BackendSolution(
             status=OPTIMAL, x=np.array(solution.col_value), objective=float(sign * run.fun),
             row_duals=sign * np.array(solution.row_dual), **info)
-
-    def reduced_costs(self) -> np.ndarray:
-        """Per column of the LP last solved, the rate at which its optimum
-        grows with the column's lower bound (so <= 0 for a ``max`` LP, and 0
-        for a column off its lower bound).  They are read from the held
-        model, so only after an optimal solve and before the next one."""
-        if self._lp is None or self._highs.getModelStatus() != HighsModelStatus.kOptimal:
-            raise SolverFailureError("no optimal solution is held to read reduced costs from")
-        lp = self._lp
-        at_lower = np.fromiter(map(attrgetter("value"), self._highs.getBasis().col_status),
-                               np.int8, lp.num_vars) == HighsBasisStatus.kLower.value
-        sign = 1.0 if lp.sense == "min" else -1.0
-        return sign * np.where(at_lower, self._highs.getSolution().col_dual, 0.0)
 
 
 def get_backend(name: str = DEFAULT_BACKEND) -> ScipyHighsBackend:

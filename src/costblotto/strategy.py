@@ -5,7 +5,9 @@ into an explicit mixed strategy, compute exact best-response values by
 dynamic programming over the layered graph, and certify whether a profile is
 an equilibrium of the original game with costs.  The same dynamic program
 drives :func:`solve_by_generation`, which grows the minimax LP from the
-edges of best responses.
+edges of best responses, and finds the edges of every near-best response,
+which bound player A's optimal face in
+:func:`~costblotto.minimax.equilibrium_statistic_bounds`.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from .game import (
     PureStrategy,
     check_partial_assignment,
 )
-from .minimax import (FEAS_EPS, InvalidFlowError, MinimaxLP, SolveResult, StrategyFlow,
-                      build_minimax_lp, solve)
+from .minimax import (FEAS_EPS, InvalidFlowError, LayeredGraph, MinimaxLP, SolveResult,
+                      StrategyFlow, build_minimax_lp, solve)
 from .reduction import SunkCostGame, build_sunk_cost, map_strategy, oriented_arrays
 from .solver import OPTIMAL, SolverFailureError, get_backend
 
@@ -160,6 +162,49 @@ def best_response_value(
     full assignment, breaking ties toward smaller assignments battlefield by
     battlefield.
     """
+    rewards, exact = _rewards(sunk, opp_marginals, player)
+    best, assignment = _best_path(rewards)
+    # the opponent's own cost rows, as oriented_valuations orients them
+    value = best + _expected_cost(sunk.costs_b if player == "A" else sunk.costs_a,
+                                  opp_marginals)
+    return (value if exact else float(value)), assignment
+
+
+def best_response_edges(sunk: SunkCostGame, opp_marginals: Marginals, player: str,
+                        tolerance: float) -> np.ndarray:
+    """Per edge of ``player``'s layered graph, whether it lies on a full
+    assignment that earns within ``tolerance`` of ``player``'s best
+    response to the opponent's marginals.
+
+    The best total reward of a path through an edge is a forward dynamic
+    program from the source to the edge's tail, plus the edge's reward,
+    plus a backward one from its head to the sink, over the rewards that
+    :func:`best_response_value` maximizes, in float64.  The backward
+    program's value at the source is the best response."""
+    rewards = np.asarray(_rewards(sunk, opp_marginals, player)[0], dtype=float)
+    n_hat, size = rewards.shape
+    graph = LayeredGraph(n_hat, size - 1)
+    layer, tail = graph.edge_field - 1, graph.edge_tail
+    head = tail + graph.edge_assign
+    reward = rewards[layer, graph.edge_assign]
+    forward = np.full((n_hat + 1, size), -np.inf)
+    backward = forward.copy()
+    forward[0, 0] = backward[-1, -1] = 0.0
+    layers = [slice(i * graph.edges_per_layer, (i + 1) * graph.edges_per_layer)
+              for i in range(n_hat)]
+    for i, edges in enumerate(layers):
+        np.maximum.at(forward[i + 1], head[edges], forward[i, tail[edges]] + reward[edges])
+    for i, edges in reversed(list(enumerate(layers))):
+        np.maximum.at(backward[i], tail[edges], reward[edges] + backward[i + 1, head[edges]])
+    through = forward[layer, tail] + reward + backward[layer + 1, head]
+    return through >= backward[0, 0] - tolerance
+
+
+def _rewards(sunk: SunkCostGame, opp_marginals: Marginals, player: str):
+    """Per battlefield ``i`` and own assignment ``a``, what ``player`` earns
+    there against the opponent's marginals: the expected valuation less its
+    own cost.  Float64 when the game or the marginals hold a float, the
+    exact entries in an object array otherwise; and whether exact."""
     exact = not (_holds_float(opp_marginals.tables) or _holds_float(sunk.costs_a)
                  or _holds_float(sunk.costs_b)
                  or any(_holds_float(t) for t in sunk.valuations if t is not None))
@@ -176,11 +221,7 @@ def best_response_value(
     expected = np.zeros(costs_self.shape, dtype=tables.dtype)
     for b in range(d_opp + 1):
         expected = expected + m[:, b, None] * tables[:, :, b]
-    best, assignment = _best_path(expected - costs_self)
-    # the opponent's own cost rows, as oriented_valuations orients them
-    value = best + _expected_cost(sunk.costs_b if player == "A" else sunk.costs_a,
-                                  opp_marginals)
-    return (value if exact else float(value)), assignment
+    return expected - costs_self, exact
 
 
 def _holds_float(rows) -> bool:
@@ -265,35 +306,49 @@ def certify_equilibrium(
 
 
 def solve_by_generation(sunk: SunkCostGame, backend=None) -> SolveResult:
-    """Player A's minimax optimum, grown edge by edge: a double oracle over
-    the edges of both layered graphs, or column-and-row generation on the
-    LP of :func:`build_minimax_lp`.
+    """Player A's minimax optimum, grown edge by edge from
+    :func:`generation_start` by :func:`generate_edges` on ``backend`` (the
+    default one, whose simplex size rule takes the small first round)."""
+    lp = build_minimax_lp(sunk, "A", *generation_start(sunk))
+    return generate_edges(lp, sunk, backend if backend is not None else get_backend())[0]
 
-    The restricted :class:`MinimaxLP` starts from each player's best
-    response to the opponent idling, with every resource on the extra
-    battlefield.  Each round solves it, then finds both players' DP best
-    responses to the other's restricted optimum, A's marginals read from the
-    marginal columns and B's from the potential-row duals; a best response
-    that gains more than :data:`GENERATION_GAP` places its path's edges.
-    When neither does, the restricted optimum is an equilibrium of the full
-    game.  All rounds run on one HiGHS model held by ``backend`` (the
-    default one, whose simplex size rule takes the small first round), to
-    which each round appends only the columns and rows its placement adds.
-    The result's flows are over the full graphs, its value is the restricted
+
+def generation_start(sunk: SunkCostGame) -> tuple[np.ndarray, np.ndarray]:
+    """The edges edge generation starts from: those of A's best response to
+    B idling, with every resource on the extra battlefield, and of B's best
+    response to A idling."""
+    own = LayeredGraph(sunk.n_hat, sunk.budget_a).path_edges(
+        best_response_value(sunk, _idle(sunk.n_hat, sunk.budget_b), "A")[1])
+    opp = LayeredGraph(sunk.n_hat, sunk.budget_b).path_edges(
+        best_response_value(sunk, _idle(sunk.n_hat, sunk.budget_a), "B")[1])
+    return own, opp
+
+
+def generate_edges(lp: MinimaxLP, sunk: SunkCostGame, backend) -> tuple[SolveResult, float]:
+    """Grow the restricted A-perspective ``lp`` to a minimax optimum of the
+    full game: a double oracle over the edges of both layered graphs, or
+    column-and-row generation on the LP of :func:`build_minimax_lp`.
+
+    Each round solves ``lp``, then finds both players' DP best responses to
+    the other's restricted optimum, A's marginals read from the marginal
+    columns and B's from the potential-row duals; a best response that
+    gains more than :data:`GENERATION_GAP` places its path's edges.  When
+    neither does, the restricted optimum is an equilibrium of the full game.
+    All rounds run on one HiGHS model held by ``backend``, to which each
+    round appends only the columns and rows its placement adds.  The
+    result's flows are over the full graphs, its value is the restricted
     objective, and its solution is the last round's with the rounds'
-    iterations summed.
+    iterations summed.  Returned with it is the best-response gap that the
+    rule which stopped the rounds accepts.
 
     A round that adds no edge while a gap is still open ends the rounds:
     its restricted optimum is returned when the gaps are within
-    :func:`_stall_tolerance`, and :func:`build_minimax_lp`'s full LP is
-    solved on ``backend`` otherwise.  Raises :class:`SolverFailureError`
+    :func:`stall_tolerance`, and otherwise every edge is placed, which
+    makes ``lp`` the full LP, and that is solved; either way the accepted
+    gap is :func:`stall_tolerance`.  Raises :class:`SolverFailureError`
     when a round ends unsolved or its marginals are unusable, or when a
     stall's full LP fails."""
-    backend = backend if backend is not None else get_backend()
-    lp = MinimaxLP(sunk)
     gs, go = lp.graph_self, lp.graph_opp
-    lp.place(gs.path_edges(best_response_value(sunk, _idle(sunk.n_hat, sunk.budget_b), "A")[1]),
-             go.path_edges(best_response_value(sunk, _idle(sunk.n_hat, sunk.budget_a), "B")[1]))
     iterations = 0
     while True:
         sol = backend.solve(lp.program)
@@ -310,17 +365,19 @@ def solve_by_generation(sunk: SunkCostGame, backend=None) -> SolveResult:
         gain_b, path_b = best_response_value(sunk, marg_a, "B")
         open_a, open_b = gain_a - value > GENERATION_GAP, gain_b + value > GENERATION_GAP
         if not (open_a or open_b):
-            return lp.result(replace(sol, iterations=iterations), "edge generation")
+            return lp.result(replace(sol, iterations=iterations), "edge generation"), GENERATION_GAP
         none = np.array([], dtype=np.int64)
         if lp.place(gs.path_edges(path_a) if open_a else none,
                     go.path_edges(path_b) if open_b else none):
             continue
         # both best responses already lie in the restricted LP, so what is
         # left of the gaps is the LP's round-off at the game's payoff scale
-        if max(gain_a - value, gain_b + value) <= _stall_tolerance(sunk):
-            return lp.result(replace(sol, iterations=iterations), "edge generation")
+        tolerance = stall_tolerance(sunk)
+        if max(gain_a - value, gain_b + value) <= tolerance:
+            return lp.result(replace(sol, iterations=iterations), "edge generation"), tolerance
+        lp.place(np.arange(gs.num_edges), np.arange(go.num_edges))
         try:
-            return solve(build_minimax_lp(sunk, "A"), backend)
+            return solve(lp, backend), tolerance
         except SolverFailureError as exc:
             raise SolverFailureError(
                 f"edge generation stalled: best-response gaps {gain_a - value:.3g} (A) and "
@@ -328,7 +385,7 @@ def solve_by_generation(sunk: SunkCostGame, backend=None) -> SolveResult:
                 f"{exc}") from exc
 
 
-def _stall_tolerance(sunk: SunkCostGame) -> float:
+def stall_tolerance(sunk: SunkCostGame) -> float:
     """The best-response gap a stalled generation accepts: :data:`GENERATION_GAP`
     relative to a bound on the absolute payoff of any pure profile, the sum
     over battlefields of the largest absolute valuation and both players'

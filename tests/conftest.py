@@ -1,12 +1,15 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from costblotto import (CostBlottoGame, CostFunction, LayeredGraph, MixedStrategy,
-                        StrategyFlow, Valuation)
+                        StrategyFlow, Valuation, build_minimax_lp, build_sunk_cost, solve)
 from costblotto.game import check_full_assignment
+from costblotto.minimax import FLOW_DUST, _statistic_objective
+from costblotto.solver import ScipyHighsBackend, SolverFailureError, _core
 
 
 def example_one() -> CostBlottoGame:
@@ -157,3 +160,53 @@ def sunk_payoff(sunk, s_a, s_b):
     return sum((0 if table is None else table[a][b]) - ca[a] + cb[b]
                for table, ca, cb, a, b in zip(sunk.valuations, sunk.costs_a, sunk.costs_b,
                                               s_a, s_b))
+
+
+def reduced_costs(backend: ScipyHighsBackend) -> np.ndarray:
+    """Per column of the LP ``backend`` last solved, the rate at which its
+    optimum grows with the column's lower bound (so <= 0 for a ``max`` LP,
+    and 0 for a column off its lower bound), read from the model HiGHS
+    holds: its basis statuses and column duals.  Only after an optimal
+    solve and before the next one."""
+    highs, lp = backend._highs, backend._lp
+    if lp is None or highs.getModelStatus() != _core.HighsModelStatus.kOptimal:
+        raise SolverFailureError("no optimal solution is held to read reduced costs from")
+    at_lower = np.fromiter((status.value for status in highs.getBasis().col_status), np.int8,
+                           lp.num_vars) == _core.HighsBasisStatus.kLower.value
+    sign = 1.0 if lp.sense == "min" else -1.0
+    return sign * np.where(at_lower, highs.getSolution().col_dual, 0.0)
+
+
+def full_lp_face(game: CostBlottoGame, backend: ScipyHighsBackend):
+    """The optimal face of the full A-perspective LP, read from HiGHS: a
+    cold solve on ``backend``, a fresh one, then complementary slackness
+    with its optimal dual.  A feasible point is optimal exactly when every
+    column with a reduced cost beyond ``FLOW_DUST`` sits on its lower bound
+    and every ``<=`` row with a dual beyond it (B's dual-flow support and
+    the value row, which lead the rows) is tight.  Returns the model, the
+    face LP, and the masks of those columns and rows."""
+    model = build_minimax_lp(build_sunk_cost(game), "A")
+    base = solve(model, backend)
+    fixed = np.abs(reduced_costs(backend)) > FLOW_DUST
+    tight = np.abs(base.solution.row_duals[:model.graph_opp.num_edges + 1]) > FLOW_DUST
+    program = model.program
+    upper, row_lower = program.upper.copy(), program.row_lower.copy()
+    upper[fixed] = program.lower[fixed]
+    row_lower[:tight.size][tight] = program.row_upper[:tight.size][tight]
+    return model, replace(program, upper=upper, row_lower=row_lower), fixed, tight
+
+
+def full_lp_face_bounds(game: CostBlottoGame, statistics) -> dict:
+    """Each bound that ``equilibrium_statistic_bounds`` returns, from
+    :func:`full_lp_face`'s face LP, re-solved on the backend that solved the
+    full LP from its basis: an oracle that shares the LP's formulation but
+    neither edge generation nor the dynamic program's face."""
+    backend = ScipyHighsBackend()
+    model, face, _, _ = full_lp_face(game, backend)
+    bounds = {}
+    for name, statistic in statistics.items():
+        objective = _statistic_objective(model, statistic)
+        bounds[name] = {direction: backend.solve(
+            replace(face, sense=direction, objective=objective)).objective
+            for direction in ("min", "max")}
+    return bounds

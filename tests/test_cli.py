@@ -5,10 +5,12 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from costblotto import (cli, load_game, build_minimax_lp, build_sunk_cost,
-                        equilibrium_statistic_bounds, minimax, oracle, resource_statistic, solve)
+                        equilibrium_statistic_bounds, minimax, oracle, resource_statistic, solve,
+                        strategy)
 from costblotto.cli import (
     SWEEP_CSV_HEADER,
     _fmt,
@@ -151,41 +153,16 @@ class TestBounds:
         assert isinstance(face["tight_rows"], int) and face["tight_rows"] >= 2
 
     @pytest.mark.parametrize("name, face", [
-        ("example_small", {"fixed_columns": 3, "tight_rows": 4}),
-        ("linear_obtainment", {"fixed_columns": 3192, "tight_rows": 152}),
-        ("quadratic_assignment", {"fixed_columns": 2756, "tight_rows": 76}),
+        ("example_small", {"fixed_columns": 9, "tight_rows": 4}),
+        ("linear_obtainment", {"fixed_columns": 3380, "tight_rows": 144}),
+        ("quadratic_assignment", {"fixed_columns": 3769, "tight_rows": 72}),
     ])
-    def test_only_stage_one_reads_reduced_costs(self, name, face, tmp_path, monkeypatch):
-        # solve and the oracle read no reduced costs; bounds reads stage one's,
-        # and its face is the one they gave when every solve carried them
-        solutions, reads = [], []
-        real_solve, real_reduced = ScipyHighsBackend.solve, ScipyHighsBackend.reduced_costs
-
-        def recorded_solve(self, lp):
-            solutions.append(real_solve(self, lp))
-            return solutions[-1]
-
-        def counted_reduced_costs(self):
-            reads.append(1)
-            return real_reduced(self)
-
-        monkeypatch.setattr(ScipyHighsBackend, "solve", recorded_solve)
-        monkeypatch.setattr(ScipyHighsBackend, "reduced_costs", counted_reduced_costs)
-        config = str(CONFIGS / f"{name}.json")
-        if name == "example_small":
-            # float costs send the oracle down its floating-point LP
-            float_costs = tmp_path / "float_costs.json"
-            float_costs.write_text(json.dumps(
-                {**EXAMPLE_CONFIG, "obtain_cost_A": {"kind": "linear", "coeff": 0.3}}))
-            assert main(["oracle-diff", "--config", str(float_costs)]) == 0
-        assert main(["solve", "--config", config, "--player", "A",
-                     "--out", str(tmp_path / "solve")]) == 0
-        assert solutions and all(sol.reduced_costs is None for sol in solutions)
-        assert reads == []
+    def test_records_the_dp_face(self, name, face, tmp_path):
+        # fixed_columns counts A's edges off the face that the dynamic program
+        # reads, tight_rows B's support rows and the value row
         out = tmp_path / "bounds"
-        assert main(["bounds", "--config", config, "--statistic", "resources",
-                     "--out", str(out)]) == 0
-        assert reads == [1]
+        assert main(["bounds", "--config", str(CONFIGS / f"{name}.json"),
+                     "--statistic", "resources", "--out", str(out)]) == 0
         assert json.loads((out / "bounds_resources.json").read_text())["face"] == face
 
     def test_expenditure_equals_resources_here(self, config_path, tmp_path):
@@ -416,25 +393,17 @@ class TestBrokenDuals:
         assert not (out / "hypothesis_report.json").exists()
 
 
-class FaceClosingBackend(ScipyHighsBackend):
-    """Real solves, but the stage-one reduced costs read nonzero on every
-    flow column, so the optimal face fixes every flow edge at 0 and holds
-    no unit flow."""
-
-    def __init__(self, game):
-        super().__init__()
-        self.flow_cols = build_minimax_lp(build_sunk_cost(game), "A").layout.flow_col
-
-    def reduced_costs(self):
-        reduced = super().reduced_costs()
-        reduced[self.flow_cols] = -1.0
-        return reduced
+def _close_the_face(monkeypatch):
+    """Make the dynamic program put none of A's edges on the optimal face,
+    so that the face holds no unit flow."""
+    real = strategy.best_response_edges
+    monkeypatch.setattr(strategy, "best_response_edges",
+                        lambda *args: np.zeros_like(real(*args)))
 
 
 class TestInfeasibleFace:
     def test_bounds_exit_code_3(self, config_path, tmp_path, monkeypatch, capsys):
-        game = load_game(config_path)
-        monkeypatch.setattr(minimax, "get_backend", lambda: FaceClosingBackend(game))
+        _close_the_face(monkeypatch)
         out = tmp_path / "out"
         assert main(["bounds", "--statistic", "resources", "--config", config_path,
                      "--out", str(out)]) == 3
@@ -444,8 +413,7 @@ class TestInfeasibleFace:
         assert not out.exists()
 
     def test_sweep_point_records_error(self, monkeypatch):
-        game = sweep_point_game(2, 2, 2, 1.0)
-        monkeypatch.setattr(minimax, "get_backend", lambda: FaceClosingBackend(game))
+        _close_the_face(monkeypatch)
         row = cli._sweep_point((2, 2, 2, 1.0))
         assert row["error"].startswith("SolverFailureError: stage-two solve")
         assert "min_resources" not in row and "value" not in row

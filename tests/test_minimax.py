@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 from dataclasses import replace
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from costblotto import (
     build_sunk_cost,
     certify_equilibrium,
     decompose_flow,
+    enumerate_strategies,
     equilibrium_statistic_bounds,
     expenditure_statistic,
     map_strategy,
@@ -27,18 +29,22 @@ from costblotto import (
     build_matrix,
     resource_statistic,
     solve,
+    strategy,
     unmap_strategy,
 )
 from costblotto.cli import classify_hypothesis_case
-from costblotto.config import parse_game_config, sweep_point_game
-from costblotto.minimax import _optimal_face, _solve_with_face, _statistic_objective
-from costblotto.solver import CsrMatrix, ScipyHighsBackend, get_backend
-from costblotto.strategy import best_response_value
-from conftest import (DECIMAL_INCREMENTS, example_one, flow_from_mixed, own_cost_rows, path_edges,
-                      point_mass, random_game, strategies)
+from costblotto.config import load_game, load_sweep_spec, parse_game_config, sweep_point_game
+from costblotto.minimax import MinimaxLP, _statistic_objective
+from costblotto.solver import CsrMatrix, get_backend
+from costblotto.strategy import (GENERATION_GAP, best_response_edges, best_response_value,
+                                 generation_start, stall_tolerance)
+from conftest import (DECIMAL_INCREMENTS, example_one, flow_from_mixed, full_lp_face_bounds,
+                      own_cost_rows, path_edges, point_mass, random_game, strategies)
 from scipy.optimize import linprog
 
 S_STAR = {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestLayeredGraph:
@@ -218,9 +224,9 @@ class TestBuildMinimaxLp:
     @pytest.mark.parametrize("perspective", "AB")
     @pytest.mark.parametrize("budgets", [(8, 5), (3, 7), (0, 4)])
     def test_numbering_other_code_reads(self, perspective, budgets):
-        # face_masks, _optimal_face and the opponent-flow readback take the
-        # flow columns and then the potential rows and the value row as
-        # leading, and the value column as last
+        # the face reference and the opponent-flow readback take the flow
+        # columns and then the potential rows and the value row as leading,
+        # and the value column as last
         model = build_minimax_lp(build_sunk_cost(sweep_point_game(3, *budgets, 2.5)),
                                  perspective)
         lay, program = model.layout, model.program
@@ -599,24 +605,11 @@ class TestBoundsOracle:
             assert abs(bounds[name]["max"][0] - hi) <= BOUNDS_ORACLE_TOL, (name, hi)
 
 
-def _cold_face_bounds(game, statistics):
-    """Each bound that :func:`equilibrium_statistic_bounds` returns, from a
-    cold solve of its face LP on a fresh backend."""
-    model = build_minimax_lp(build_sunk_cost(game), "A")
-    face = _optimal_face(model, _solve_with_face(model, ScipyHighsBackend()))
-    bounds = {}
-    for name, statistic in statistics.items():
-        objective = _statistic_objective(model, statistic)
-        bounds[name] = {
-            direction: ScipyHighsBackend().solve(
-                replace(face, sense=direction, objective=objective)).objective
-            for direction in ("min", "max")}
-    return bounds
-
-
 class TestWarmFaceSolves:
-    """Stage two re-solves the stage-one model the backend holds, from its
-    basis; every bound must equal a cold solve of the same face LP."""
+    """Stage two re-solves the restricted model the backend holds, from its
+    basis, over the face the dynamic program reads; every bound must equal
+    the full LP's face as HiGHS's reduced costs give it, after a cold solve
+    of the full LP."""
 
     @pytest.mark.parametrize("increments", [None, DECIMAL_INCREMENTS],
                              ids=["dyadic", "decimal"])
@@ -627,7 +620,7 @@ class TestWarmFaceSolves:
                            increments=increments)
         statistics = {"res": resource_statistic(game), "exp": expenditure_statistic(game)}
         _, warm = equilibrium_statistic_bounds(game, statistics)
-        cold = _cold_face_bounds(game, statistics)
+        cold = full_lp_face_bounds(game, statistics)
         for name in statistics:
             for direction in ("min", "max"):
                 assert abs(warm[name][direction][0] - cold[name][direction]) \
@@ -643,3 +636,159 @@ class TestWarmFaceSolves:
         for direction in ("min", "max"):
             solution = bounds["expenditure"][direction][1].solution
             assert (solution.iterations, solution.crossover_iterations) == (0, 0)
+
+
+def _both_statistics(game):
+    return {"resources": resource_statistic(game), "expenditure": expenditure_statistic(game)}
+
+
+class TestAgainstFullLpFace:
+    """Bounds by edge generation over the face the dynamic program reads,
+    against the full LP's face as HiGHS's reduced costs give it, on the
+    paper's figure grid and the shipped configs."""
+
+    @staticmethod
+    def _check(game):
+        statistics = _both_statistics(game)
+        _, bounds = equilibrium_statistic_bounds(game, statistics)
+        reference = full_lp_face_bounds(game, statistics)
+        for name in statistics:
+            for direction in ("min", "max"):
+                assert abs(bounds[name][direction][0] - reference[name][direction]) \
+                    <= BOUNDS_ORACLE_TOL, (name, direction)
+
+    @pytest.mark.parametrize("point", load_sweep_spec(REPO / "configs" / "sweep_figure.json")
+                             .points(), ids=lambda point: f"c0_inv={point[3]:g}")
+    def test_figure_point(self, point):
+        self._check(sweep_point_game(*point))
+
+    @pytest.mark.parametrize("name", ["example_small", "linear_obtainment",
+                                      "quadratic_assignment"])
+    def test_config(self, name):
+        self._check(load_game(REPO / "configs" / f"{name}.json"))
+
+
+class TestDynamicProgramFace:
+    @pytest.mark.parametrize("point", [(4, 40, 40, 4.0), (4, 40, 40, 9.75), (3, 12, 10, 3.25),
+                                       (2, 6, 6, 1.5)])
+    def test_stage_one_flow_lies_on_the_face(self, point):
+        game = sweep_point_game(*point)
+        base, _ = equilibrium_statistic_bounds(game, {"res": resource_statistic(game)})
+        assert base.face_edges.shape == base.flow.edge_flow.shape
+        assert np.all(base.face_edges[base.flow.edge_flow > 0])
+        assert not np.all(base.face_edges)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_face_edges_lie_on_near_best_paths(self, seed):
+        # against enumeration: an edge is on the face exactly when some full
+        # assignment through it earns within the tolerance of the best one
+        game = random_game(random.Random(8000 + seed), n_max=3, d_max=4)
+        sunk = build_sunk_cost(game)
+        result = solve(build_minimax_lp(sunk, "A"))
+        marginals = marginals_from_flow(result.opponent_flow)
+        graph = result.flow.graph
+        paths = enumerate_strategies(graph.budget, graph.n_hat, full=True)
+        payoffs = [best_response_value(sunk, marginals, "A")[0] - _payoff_against(
+            sunk, marginals, s) for s in paths]
+        for tolerance in (1e-9, 0.3):
+            expected = np.zeros(graph.num_edges, dtype=bool)
+            for s, gap in zip(paths, payoffs):
+                if gap <= tolerance:
+                    expected[graph.path_edges(s)] = True
+            got = best_response_edges(sunk, marginals, "A", tolerance)
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("c0_inv", [4.0, 7.25])
+    def test_stage_two_adds_b_rows(self, c0_inv, monkeypatch):
+        # the held model has only the B rows generation placed; at these
+        # points some witness is beaten by a B path off them until its rows
+        # are placed, and every witness ends within GENERATION_GAP of the value
+        face_read, rows_added = [], []
+        real_edges, real_place = strategy.best_response_edges, MinimaxLP.place
+
+        def edges(*args):
+            face_read.append(True)
+            return real_edges(*args)
+
+        def place(self, own_edges, opp_edges):
+            added = real_place(self, own_edges, opp_edges)
+            if face_read and own_edges.size == 0 and added:
+                rows_added.append(opp_edges)
+            return added
+
+        monkeypatch.setattr(strategy, "best_response_edges", edges)
+        monkeypatch.setattr(MinimaxLP, "place", place)
+        game = sweep_point_game(4, 40, 40, c0_inv)
+        base, bounds = equilibrium_statistic_bounds(game, _both_statistics(game))
+        assert rows_added
+        sunk = build_sunk_cost(game)
+        for name in bounds:
+            for direction in ("min", "max"):
+                witness = bounds[name][direction][1]
+                gain_b, _ = best_response_value(sunk, marginals_from_flow(witness.flow), "B")
+                assert gain_b + base.value <= GENERATION_GAP, (name, direction)
+
+    def test_stall_takes_the_face_tolerance_from_generation(self, monkeypatch):
+        # the round-off stall game of test_generation.TestLargePayoffs: its
+        # generation ends by the stall rule, so the face reads that rule's gap
+        w = 1e5
+        none = {"kind": "none"}
+        game = parse_game_config({
+            "n": 6, "budget_A": 20, "budget_B": 18,
+            "valuations": [{"kind": "sign", "weight": w * (1 + i % 2)} for i in range(6)],
+            "assign_costs_A": none, "assign_costs_B": none,
+            "obtain_cost_A": {"kind": "linear", "coeff": 0.05 * w},
+            "obtain_cost_B": {"kind": "linear", "coeff": 0.05 * w}})
+        tolerances = []
+        real_edges = strategy.best_response_edges
+
+        def edges(sunk, marginals, player, tolerance):
+            tolerances.append(tolerance)
+            return real_edges(sunk, marginals, player, tolerance)
+
+        monkeypatch.setattr(strategy, "best_response_edges", edges)
+        base, bounds = equilibrium_statistic_bounds(game, {"res": resource_statistic(game)})
+        sunk = build_sunk_cost(game)
+        assert tolerances == [stall_tolerance(sunk)] and tolerances[0] > GENERATION_GAP
+        assert np.all(base.face_edges[base.flow.edge_flow > 0])
+        assert bounds["res"]["min"][0] <= bounds["res"]["max"][0] + 1e-6
+        xi_b = MixedStrategy(support=tuple(
+            (unmap_strategy(s, game.budget_b), p)
+            for s, p in decompose_flow(base.opponent_flow).support))
+        for direction in ("min", "max"):
+            xi_a = MixedStrategy(support=tuple(
+                (unmap_strategy(s, game.budget_a), p)
+                for s, p in decompose_flow(bounds["res"][direction][1].flow).support))
+            assert certify_equilibrium(game, xi_a, xi_b)[0], direction
+
+
+def _payoff_against(sunk, marginals, s):
+    """A's payoff of the full assignment ``s`` against B's marginals."""
+    total = 0.0
+    for i, (table, costs_a, costs_b, row) in enumerate(
+            zip(sunk.valuations, sunk.costs_a, sunk.costs_b, marginals.tables)):
+        total += sum(p * ((0 if table is None else table[s[i]][b]) + costs_b[b])
+                     for b, p in enumerate(row)) - costs_a[s[i]]
+    return total
+
+
+class TestStatisticObjective:
+    def test_restricted_model_weights_only_its_marginals(self):
+        # unplaced marginals have no column; their weights must not land in
+        # another column, such as the value column, which is last
+        game = sweep_point_game(3, 6, 5, 2.5)
+        sunk = build_sunk_cost(game)
+        model = build_minimax_lp(sunk, "A", *generation_start(sunk))
+        lay = model.layout
+        assert np.any(lay.marginal_col < 0)
+        statistic = resource_statistic(game)
+        objective = _statistic_objective(model, statistic)
+        weights = np.array([x for row in statistic for x in row])
+        placed = lay.marginal_col >= 0
+        expected = np.zeros(model.num_vars)
+        expected[lay.marginal_col[placed]] = weights[placed]
+        assert np.array_equal(objective, expected)
+        assert objective[lay.value_col] == 0.0
+        full = build_minimax_lp(sunk, "A")
+        assert np.array_equal(_statistic_objective(full, statistic)[full.layout.marginal_col],
+                              weights)

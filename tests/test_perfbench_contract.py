@@ -10,6 +10,7 @@ from collections import defaultdict
 from pathlib import Path
 
 from costblotto import build_minimax_lp, build_sunk_cost, solver
+from costblotto.cli import _sweep_point
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -54,3 +55,20 @@ def test_observers_read_the_full_lp(example_game, monkeypatch):
     assert sol.status == solver.OPTIMAL and len(runs) == 1
     assert counter["solver.highs_iters"] == sol.iterations > 0
     assert counter["solver.not_optimal"] == 0
+
+
+def test_bounds_reach_the_bound_layers():
+    # a bounds op folds the game, assembles its first model and solves
+    # through the names perfbench binds, so their layers are measured
+    tracer = _load_spans().Tracer()
+    try:
+        tracer.install()
+        tracer.recording = True
+        row = _sweep_point((2, 3, 3, 1.5))
+    finally:
+        tracer.recording = False
+        tracer.uninstall()
+    assert row["error"] == ""
+    calls = tracer.snapshot(0.0)["calls"]
+    for layer in ("minimax.assemble", "minimax.solve", "reduction.fold"):
+        assert calls.get(layer, 0) >= 1, layer

@@ -12,7 +12,7 @@ import costblotto
 from costblotto import (build_minimax_lp, build_sunk_cost, equilibrium_statistic_bounds,
                         resource_statistic, solve)
 from costblotto.config import sweep_point_game
-from costblotto.minimax import _optimal_face, _solve_with_face
+from costblotto.minimax import FLOW_DUST
 from costblotto.solver import (
     BACKEND_ENV_VAR,
     INFEASIBLE,
@@ -22,12 +22,13 @@ from costblotto.solver import (
     SIMPLEX_BELOW_COLUMNS,
     UNBOUNDED,
     CsrMatrix,
-    HighsBasisStatus,
     LinearProgram,
     ScipyHighsBackend,
     SolverFailureError,
+    _core,
     get_backend,
 )
+from conftest import full_lp_face, reduced_costs
 
 
 def small_lp(sense="max"):
@@ -242,6 +243,10 @@ class TestRowDuals:
 
 
 class TestReducedCosts:
+    """The reader of HiGHS's reduced costs behind the full-LP face
+    reference (``conftest.reduced_costs``), which the bounds tests trust as
+    their oracle."""
+
     @pytest.mark.parametrize("method", list(METHODS))
     def test_sign_follows_sense(self, method):
         # max x0 + 2 x1 s.t. x0 + x1 <= 3, x0 <= 2: x = (0, 3); raising
@@ -250,12 +255,12 @@ class TestReducedCosts:
         backend = ScipyHighsBackend(method)
         sol = backend.solve(lp)
         assert sol.x == pytest.approx([0.0, 3.0], abs=1e-9)
-        assert backend.reduced_costs() == pytest.approx([-1.0, 0.0], abs=1e-9)
+        assert reduced_costs(backend) == pytest.approx([-1.0, 0.0], abs=1e-9)
         lp = dataclasses.replace(lp, sense="min", objective=np.array([-1.0, -2.0]))
         backend = ScipyHighsBackend(method)
         sol = backend.solve(lp)
         assert sol.objective == pytest.approx(-6.0)
-        assert backend.reduced_costs() == pytest.approx([1.0, 0.0], abs=1e-9)
+        assert reduced_costs(backend) == pytest.approx([1.0, 0.0], abs=1e-9)
 
     @pytest.mark.parametrize("method", list(METHODS))
     def test_column_at_upper_bound_reads_zero(self, method):
@@ -268,7 +273,7 @@ class TestReducedCosts:
         backend = ScipyHighsBackend(method)
         sol = backend.solve(lp)
         assert sol.x == pytest.approx([1.0, 2.0, 0.0], abs=1e-9)
-        assert backend.reduced_costs() == pytest.approx([0.0, 0.0, -2.0], abs=1e-9)
+        assert reduced_costs(backend) == pytest.approx([0.0, 0.0, -2.0], abs=1e-9)
 
     def test_interior_point_above_the_size_limit(self):
         # <= 0 for a max LP, and 0 off the lower bound
@@ -276,38 +281,39 @@ class TestReducedCosts:
             lp = large_program(sense)
             backend = ScipyHighsBackend("highs-ipm")
             sol = backend.solve(lp)
-            reduced = backend.reduced_costs()
+            reduced = reduced_costs(backend)
             assert sol.status == OPTIMAL and sol.lp_solver == "ipm"
             assert np.all(sign * reduced >= -1e-9)
             assert np.any(sign * reduced > 1e-6)
             assert np.all(reduced[sol.x > lp.lower + 1e-9] == 0.0)
 
     def test_equal_to_a_scan_of_the_basis(self):
-        # the reduced costs of a stage-one solve and of a face solve on the
+        # the reduced costs of a full-LP solve and of a face solve on the
         # held model, against a column-by-column scan of its basis statuses
-        model = build_minimax_lp(build_sunk_cost(sweep_point_game(3, 6, 5, 2.5)), "A")
+        game = sweep_point_game(3, 6, 5, 2.5)
         backend = ScipyHighsBackend()
+        model, face, fixed, _ = full_lp_face(game, backend)
 
-        def check(reduced_costs, sign):
-            at_lower = [s == HighsBasisStatus.kLower
+        def check(sign):
+            at_lower = [s == _core.HighsBasisStatus.kLower
                         for s in backend._highs.getBasis().col_status]
             col_dual = np.array(backend._highs.getSolution().col_dual)
-            assert np.array_equal(reduced_costs, sign * np.where(at_lower, col_dual, 0.0))
+            reduced = reduced_costs(backend)
+            assert np.array_equal(reduced, sign * np.where(at_lower, col_dual, 0.0))
             assert 0 < sum(at_lower) < len(at_lower)
+            return reduced
 
-        base = _solve_with_face(model, backend)
-        check(base.solution.reduced_costs, -1.0)
-        face = _optimal_face(model, base)
+        assert np.array_equal(np.abs(check(-1.0)) > FLOW_DUST, fixed)
         backend.solve(dataclasses.replace(face, sense="min"))
-        check(backend.reduced_costs(), 1.0)
+        check(1.0)
 
     def test_not_optimal_has_no_reduced_costs(self):
         infeasible = dataclasses.replace(small_lp(), row_upper=np.array([-1.0, 2.0]))
         backend = ScipyHighsBackend()
         sol = backend.solve(infeasible)
-        assert sol.status == INFEASIBLE and sol.reduced_costs is None
+        assert sol.status == INFEASIBLE and sol.row_duals is None
         with pytest.raises(SolverFailureError, match="no optimal solution"):
-            backend.reduced_costs()
+            reduced_costs(backend)
 
 
 class TestBackendRegistry:
