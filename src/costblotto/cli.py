@@ -115,8 +115,8 @@ def cmd_solve(config: str, player: str, out: str) -> dict:
         "player": player,
         "value": value,
         "strategy": _strategy_payload(xi),
-        "marginals": [list(row) for row in marginals.tables[:-1]],
-        "resources_obtained": list(reversed(marginals.tables[-1])),
+        "marginals": marginals.tables[:-1].tolist(),
+        "resources_obtained": marginals.tables[-1, ::-1].tolist(),
         "certificate": {
             "gap_A": float(gap_a),
             "gap_B": float(gap_b),

@@ -121,8 +121,8 @@ class LayeredGraph:
 class StrategyFlow:
     """A unit source-to-sink flow over a layered graph, indexed like its edges.
 
-    Construction rejects entries below ``-FEAS_EPS``, sets those under
-    ``FLOW_DUST`` to zero, then checks conservation at ``FEAS_EPS``; each
+    Construction rejects entries not finite or below ``-FEAS_EPS``, zeroes
+    those under ``FLOW_DUST``, then checks conservation at ``FEAS_EPS``; each
     failure raises :class:`InvalidFlowError`, so every instance is valid.
     """
 
@@ -135,6 +135,8 @@ class StrategyFlow:
             raise InvalidFlowError(
                 f"flow has shape {flow.shape}, expected ({self.graph.num_edges},)"
             )
+        if not np.isfinite(flow).all():
+            raise InvalidFlowError("flow has an entry that is not finite")
         worst_negative = float(flow.min(initial=0.0))
         if worst_negative < -FEAS_EPS:
             raise InvalidFlowError(f"negative entry {worst_negative} beyond {FEAS_EPS}")

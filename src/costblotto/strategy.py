@@ -37,48 +37,53 @@ CERTIFICATE_EPS = 1e-5
 GENERATION_GAP = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Marginals:
     """Per-battlefield assignment distributions of one player.
 
-    ``tables[i][t]`` is the probability of assigning ``t`` resources to
-    battlefield ``i``.  Rows are normalized at construction, unless they sum
-    to exactly 1; a row whose sum is off by more than the feasibility
-    tolerance is rejected.
+    ``tables[i, t]`` is the probability of assigning ``t`` resources to
+    battlefield ``i``, in a read-only array: float64 when any entry given is a
+    float, and otherwise an object array of the exact entries.  Rows are
+    normalized at construction, unless they sum to exactly 1; a row whose sum
+    is not within the feasibility tolerance of 1 is rejected.
     """
 
-    tables: tuple[tuple[Number, ...], ...]
+    tables: np.ndarray
 
     def __post_init__(self):
-        rows = []
-        for i, row in enumerate(self.tables):
-            row = tuple(row)
-            total = sum(row)
-            if abs(total - 1) > FEAS_EPS:
-                raise ValueError(
-                    f"marginal row {i} sums to {total!r}, expected 1"
-                )
-            if min(row) < 0:
-                for t, p in enumerate(row):
-                    if p < -FEAS_EPS:
-                        raise ValueError(
-                            f"marginal row {i} has negative mass {p!r} at t={t}"
-                        )
-                row = tuple(0 if p < 0 else p for p in row)
-                total = sum(row)
-            # a row that sums to exactly 1 keeps its entries and their types
-            rows.append(row if total == 1 else tuple(p / total for p in row))
-        if not rows or any(len(r) != len(rows[0]) for r in rows):
+        m = self.tables
+        if not (isinstance(m, np.ndarray) and m.dtype == np.float64):
+            m = np.array(m, dtype=object)  # ints and Fractions stay Python numbers
+        if m.ndim != 2 or not m.size:
             raise ValueError("marginals must be non-empty rows of equal length")
-        object.__setattr__(self, "tables", tuple(rows))
+        if m.dtype == object and any(isinstance(p, float) for p in m.flat):
+            m = m.astype(float)
+        # every sum adds its terms one by one, as Python's sum does
+        total = np.cumsum(m, axis=1)[:, -1]
+        off = ~(np.abs(total - 1) <= FEAS_EPS)  # so a NaN or infinite sum is off
+        if off.any():
+            i = off.argmax()
+            raise ValueError(f"marginal row {i} sums to {total.tolist()[i]!r}, expected 1")
+        negative = m < -FEAS_EPS
+        if negative.any():
+            i, t = np.argwhere(negative)[0]
+            raise ValueError(
+                f"marginal row {i} has negative mass {m.tolist()[i][t]!r} at t={t}")
+        m = np.where(m < 0, 0, m)
+        total = np.cumsum(m, axis=1)[:, -1]
+        # a row that sums to exactly 1 keeps its entries and their types; an
+        # exact one that does not holds a Fraction, so its quotients do too
+        m = np.where((total == 1)[:, None], m, m / total[:, None])
+        m.flags.writeable = False
+        object.__setattr__(self, "tables", m)
 
     @property
     def n_hat(self) -> int:
-        return len(self.tables)
+        return self.tables.shape[0]
 
     @property
     def budget(self) -> int:
-        return len(self.tables[0]) - 1
+        return self.tables.shape[1] - 1
 
 
 def marginals_from_flow(flow: StrategyFlow) -> Marginals:
@@ -86,7 +91,7 @@ def marginals_from_flow(flow: StrategyFlow) -> Marginals:
     g = flow.graph
     tables = np.zeros((g.n_hat, g.budget + 1))
     np.add.at(tables, (g.edge_field - 1, g.edge_assign), flow.edge_flow)
-    return Marginals(tables=tuple(tuple(float(p) for p in row) for row in tables))
+    return Marginals(tables=tables)
 
 
 def marginals_from_mixed(xi: MixedStrategy, budget: int) -> Marginals:
@@ -101,7 +106,7 @@ def marginals_from_mixed(xi: MixedStrategy, budget: int) -> Marginals:
             )
         for i, t in enumerate(s):
             tables[i][t] += p
-    return Marginals(tables=tuple(tuple(row) for row in tables))
+    return Marginals(tables=tables)
 
 
 def decompose_flow(flow: StrategyFlow) -> MixedStrategy:
@@ -156,18 +161,15 @@ def best_response_value(
     as :func:`oriented_arrays` orients them: own assignment ``a`` on
     battlefield ``i`` earns its expected valuation less its own cost, and the
     opponent's expected own cost, which no reply changes, is added once.  It
-    runs in float64 when the game or the marginals hold a float, and on
-    object arrays of the exact entries otherwise, so it is exact when the
-    game and marginals are rational.  Returns the value and one maximizing
-    full assignment, breaking ties toward smaller assignments battlefield by
-    battlefield.
+    is exact, on object arrays of the exact entries, when the marginals are
+    (their dtype is object) and the game holds no float, and runs in float64
+    otherwise.  Returns the value, a ``float`` or the exact type, and one
+    maximizing full assignment, breaking ties toward smaller assignments
+    battlefield by battlefield.
     """
-    rewards, exact = _rewards(sunk, opp_marginals, player)
+    rewards, opp_cost = _rewards(sunk, opp_marginals, player)
     best, assignment = _best_path(rewards)
-    # the opponent's own cost rows, as oriented_valuations orients them
-    value = best + _expected_cost(sunk.costs_b if player == "A" else sunk.costs_a,
-                                  opp_marginals)
-    return (value if exact else float(value)), assignment
+    return best + opp_cost, assignment
 
 
 def best_response_edges(sunk: SunkCostGame, opp_marginals: Marginals, player: str,
@@ -203,13 +205,15 @@ def best_response_edges(sunk: SunkCostGame, opp_marginals: Marginals, player: st
 def _rewards(sunk: SunkCostGame, opp_marginals: Marginals, player: str):
     """Per battlefield ``i`` and own assignment ``a``, what ``player`` earns
     there against the opponent's marginals: the expected valuation less its
-    own cost.  Float64 when the game or the marginals hold a float, the
-    exact entries in an object array otherwise; and whether exact."""
-    exact = not (_holds_float(opp_marginals.tables) or _holds_float(sunk.costs_a)
-                 or _holds_float(sunk.costs_b)
-                 or any(_holds_float(t) for t in sunk.valuations if t is not None))
+    own cost; and the opponent's expected own cost.  Exact, an object array
+    and a number of the exact type, when the marginals are exact and the
+    game holds no float; a float64 array and a ``float`` otherwise."""
+    m = opp_marginals.tables
+    exact = m.dtype == object and not (
+        _holds_float(sunk.costs_a) or _holds_float(sunk.costs_b)
+        or any(_holds_float(t) for t in sunk.valuations if t is not None))
     tables, costs_self, costs_opp = oriented_arrays(sunk, player, exact)
-    m = np.array(opp_marginals.tables, dtype=object if exact else float)
+    m = m if exact else m.astype(float, copy=False)
     d_opp = costs_opp.shape[1] - 1
     if m.shape != costs_opp.shape:
         raise ValueError(
@@ -221,7 +225,7 @@ def _rewards(sunk: SunkCostGame, opp_marginals: Marginals, player: str):
     expected = np.zeros(costs_self.shape, dtype=tables.dtype)
     for b in range(d_opp + 1):
         expected = expected + m[:, b, None] * tables[:, :, b]
-    return expected - costs_self, exact
+    return expected - costs_self, sum((m * costs_opp).ravel().tolist())
 
 
 def _holds_float(rows) -> bool:
@@ -255,12 +259,7 @@ def _best_path(rewards: np.ndarray) -> tuple[Number, PureStrategy]:
         assignment.append(int(choice[j]))
         j += assignment[-1]
     assignment.append(size - 1 - j)
-    return best[0], tuple(assignment)
-
-
-def _expected_cost(costs: tuple[tuple[Number, ...], ...], marginals: Marginals) -> Number:
-    """A player's expected own cost over its per-battlefield marginals."""
-    return sum(p * c for row, m in zip(costs, marginals.tables) for c, p in zip(row, m))
+    return best.tolist()[0], tuple(assignment)
 
 
 def certify_equilibrium(
@@ -274,33 +273,25 @@ def certify_equilibrium(
     Returns ``(is_equilibrium, gap_a, gap_b)`` where each gap is how much
     that player could gain by deviating to a best response in the zero-sum
     companion game; both games share equilibria, so gaps at most ``eps``
-    certify the profile for the game with costs as well.
+    certify the profile for the game with costs as well.  The gaps are exact
+    when the game and the probabilities are, and ``float``s otherwise.
     """
-    for s, _ in xi_a.support:
-        check_partial_assignment(s, game.budget_a, game.n)
-    for s, _ in xi_b.support:
-        check_partial_assignment(s, game.budget_b, game.n)
+    marginals = []
+    for xi, budget in ((xi_a, game.budget_a), (xi_b, game.budget_b)):
+        for s, _ in xi.support:
+            check_partial_assignment(s, budget, game.n)
+        mapped = MixedStrategy(support=tuple((map_strategy(s, budget), p) for s, p in xi.support))
+        marginals.append(marginals_from_mixed(mapped, budget))
+    marg_a, marg_b = marginals
     sunk = build_sunk_cost(game)
-    mapped_a = MixedStrategy(
-        support=tuple((map_strategy(s, game.budget_a), p) for s, p in xi_a.support)
-    )
-    mapped_b = MixedStrategy(
-        support=tuple((map_strategy(s, game.budget_b), p) for s, p in xi_b.support)
-    )
-    marg_a = marginals_from_mixed(mapped_a, game.budget_a)
-    marg_b = marginals_from_mixed(mapped_b, game.budget_b)
-    # independence across players makes the expected valuation bilinear in
-    # the per-battlefield marginals; each player's own cost is linear in its own
-    realized = sum(
-        p_a * p_b * table[a][b]
-        for table, row_a, row_b in zip(sunk.valuations, marg_a.tables, marg_b.tables)
-        if table is not None
-        for a, p_a in enumerate(row_a) if p_a
-        for b, p_b in enumerate(row_b) if p_b
-    ) - _expected_cost(sunk.costs_a, marg_a) + _expected_cost(sunk.costs_b, marg_b)
-    br_a, _ = best_response_value(sunk, marg_b, "A")
+    # independence across players makes A's expected payoff its rewards
+    # against B's marginals weighted by its own, plus B's expected own cost;
+    # a float on either side makes each product a float
+    rewards, cost_b = _rewards(sunk, marg_b, "A")
+    best_a, _ = _best_path(rewards)
+    realized = sum((marg_a.tables * rewards).ravel().tolist()) + cost_b
     br_b, _ = best_response_value(sunk, marg_a, "B")
-    gap_a = br_a - realized
+    gap_a = best_a + cost_b - realized
     gap_b = br_b + realized
     return bool(gap_a <= eps and gap_b <= eps), gap_a, gap_b
 
@@ -357,8 +348,7 @@ def generate_edges(lp: MinimaxLP, sunk: SunkCostGame, backend) -> tuple[SolveRes
         iterations += sol.iterations
         value = float(lp.program.objective @ sol.x)
         try:
-            marg_a, marg_b = (Marginals(tables=tuple(map(tuple, m.tolist())))
-                              for m in lp.marginals(sol))
+            marg_a, marg_b = (Marginals(tables=m) for m in lp.marginals(sol))
         except ValueError as exc:
             raise SolverFailureError(f"edge generation unusable: {exc}") from exc
         gain_a, path_a = best_response_value(sunk, marg_b, "A")
@@ -398,5 +388,6 @@ def stall_tolerance(sunk: SunkCostGame) -> float:
 
 def _idle(n_hat: int, budget: int) -> Marginals:
     """The marginals of putting every resource on the last battlefield."""
-    return Marginals(tables=((1,) + (0,) * budget,) * (n_hat - 1)
-                     + ((0,) * budget + (1,),))
+    tables = np.zeros((n_hat, budget + 1), dtype=object)
+    tables[:-1, 0] = tables[-1, -1] = 1
+    return Marginals(tables=tables)

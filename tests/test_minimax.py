@@ -138,6 +138,15 @@ class TestStrategyFlow:
         with pytest.raises(InvalidFlowError):
             StrategyFlow(graph=graph, edge_flow=raw)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_flow_rejected(self, entry):
+        # a NaN passes every comparison the other checks make
+        graph = LayeredGraph(2, 1)
+        raw = flow_from_mixed(graph, point_mass((0, 1))).edge_flow.copy()
+        raw[graph.edge_index(1, 0, 1)] = entry
+        with pytest.raises(InvalidFlowError, match="not finite"):
+            StrategyFlow(graph=graph, edge_flow=raw)
+
 
 def expected_counts(n_hat, d_self, d_opp):
     edges = lambda d: n_hat * (d + 1) * (d + 2) // 2

@@ -46,9 +46,21 @@ class TestMarginals:
         assert m.tables[0][1] == 0
         assert sum(m.tables[0]) == 1
 
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+    def test_non_finite_mass_rejected(self, entry):
+        # a NaN row sum is neither off by more than the tolerance nor below 0
+        with pytest.raises(ValueError, match="sums to"):
+            Marginals(tables=((entry, 1.0),))
+
     def test_ragged_rows_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-empty rows of equal length"):
             Marginals(tables=((1.0,), (0.5, 0.5)))
+
+    @pytest.mark.parametrize("tables", [(0.5, 0.5), (), ((0.5, 0.5), 0.5)],
+                             ids=["1-D", "empty", "row-and-number"])
+    def test_rows_must_be_two_dimensional(self, tables):
+        with pytest.raises(ValueError, match="non-empty rows of equal length"):
+            Marginals(tables=tables)
 
     def test_shape_properties(self):
         m = Marginals(tables=((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)))
@@ -57,10 +69,29 @@ class TestMarginals:
 
     def test_exact_rows_keep_their_types(self):
         m = marginals_from_mixed(point_mass((0, 0, 2)), 2)
-        assert m.tables == ((1, 0, 0), (1, 0, 0), (0, 0, 1))
-        assert all(type(p) is int for row in m.tables for p in row)
+        assert m.tables.dtype == object
+        assert m.tables.tolist() == [[1, 0, 0], [1, 0, 0], [0, 0, 1]]
+        assert all(type(p) is int for p in m.tables.flat)
         third = Fraction(1, 3)
-        assert Marginals(tables=((third, 0, 2 * third),)).tables == ((third, 0, 2 * third),)
+        assert Marginals(tables=((third, 0, 2 * third),)).tables.tolist() == [[third, 0, 2 * third]]
+
+    def test_int64_rows_become_python_ints(self):
+        m = Marginals(tables=np.eye(2, dtype=np.int64))
+        assert m.tables.dtype == object
+        assert all(type(p) is int for p in m.tables.flat)
+
+    def test_any_float_makes_float64(self):
+        m = Marginals(tables=((Fraction(1, 2), 0.5), (1, 0)))
+        assert m.tables.dtype == np.float64
+        assert m.tables.tolist() == [[0.5, 0.5], [1.0, 0.0]]
+
+    def test_tables_read_only(self):
+        given = np.array([[0.25, 0.75]])
+        m = Marginals(tables=given)
+        with pytest.raises(ValueError, match="read-only"):
+            m.tables[0, 0] = 0.5
+        given[0, 0] = 0.5  # the caller's array is copied, not frozen
+        assert m.tables.tolist() == [[0.25, 0.75]]
 
     def test_inexact_rows_still_normalized(self):
         m = Marginals(tables=((Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**9)),))
@@ -72,15 +103,14 @@ class TestMarginalsFromFlow:
         graph = LayeredGraph(3, 2)
         flow = flow_from_mixed(graph, point_mass((0, 1, 1)))
         m = marginals_from_flow(flow)
-        assert m.tables == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 1.0, 0.0))
+        assert m.tables.dtype == np.float64
+        assert m.tables.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]
 
     def test_two_path_mixture(self):
         graph = LayeredGraph(3, 2)
         xi = MixedStrategy(support=(((0, 0, 2), 0.5), ((1, 1, 0), 0.5)))
         m = marginals_from_flow(flow_from_mixed(graph, xi))
-        assert m.tables[0] == (0.5, 0.5, 0.0)
-        assert m.tables[1] == (0.5, 0.5, 0.0)
-        assert m.tables[2] == (0.5, 0.0, 0.5)
+        assert m.tables.tolist() == [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_rows_sum_to_one(self, seed):
@@ -323,13 +353,54 @@ class TestCertifyEquilibrium:
         expected = sum(p_a * p_b * payoff_zero(game, s_a, s_b)
                        for s_a, p_a in xi_a.support for s_b, p_b in xi_b.support)
         sunk = build_sunk_cost(game)
-        mapped_a, mapped_b = (MixedStrategy(support=tuple(
-            (map_strategy(s, d), p) for s, p in xi.support))
-            for xi, d in ((xi_a, game.budget_a), (xi_b, game.budget_b)))
-        br_a, _ = best_response_value(sunk, marginals_from_mixed(mapped_b, game.budget_b), "A")
-        br_b, _ = best_response_value(sunk, marginals_from_mixed(mapped_a, game.budget_a), "B")
+        marg_a, marg_b = mapped_marginals(game, xi_a, xi_b)
+        br_a, _ = best_response_value(sunk, marg_b, "A")
+        br_b, _ = best_response_value(sunk, marg_a, "B")
         assert br_a - gap_a == expected
         assert gap_b - br_b == expected
+
+    @pytest.mark.parametrize("kind", ["dyadic", "decimal", "exact"])
+    def test_gaps_from_the_shared_payoff(self, kind):
+        # the realized payoff, read from the DP's rewards, is the term-by-term
+        # expected payoff: exactly on exact games with Fraction
+        # probabilities, and within 1e-12 in floats, which it sums in
+        # another order
+        rng = random.Random(1450)
+        exact = kind == "exact"
+        for _ in range(30):
+            game = random_game(rng, exact=exact,
+                               increments=DECIMAL_INCREMENTS if kind == "decimal" else None)
+            xi_a, xi_b = (drawn_mixed(rng, game, d, exact) for d in (game.budget_a, game.budget_b))
+            _, gap_a, gap_b = certify_equilibrium(game, xi_a, xi_b)
+            sunk = build_sunk_cost(game)
+            marg_a, marg_b = mapped_marginals(game, xi_a, xi_b)
+            realized = reference_realized(sunk, marg_a, marg_b)
+            want_a = best_response_value(sunk, marg_b, "A")[0] - realized
+            want_b = best_response_value(sunk, marg_a, "B")[0] + realized
+            if exact:
+                assert (gap_a, gap_b) == (want_a, want_b)
+                assert type(gap_a) is type(want_a) is Fraction
+                assert type(gap_b) is type(want_b) is Fraction
+            else:
+                assert type(gap_a) is float and type(gap_b) is float
+                assert abs(gap_a - want_a) <= 1e-12 and abs(gap_b - want_b) <= 1e-12
+
+
+def mapped_marginals(game, xi_a, xi_b):
+    """Both players' marginals over full assignments, as the certificate
+    reads a profile of the original game."""
+    return tuple(marginals_from_mixed(MixedStrategy(support=tuple(
+        (map_strategy(s, d), p) for s, p in xi.support)), d)
+        for xi, d in ((xi_a, game.budget_a), (xi_b, game.budget_b)))
+
+
+def drawn_mixed(rng, game, budget, exact):
+    """A mixed strategy over up to three assignments of ``budget``, with
+    Fraction or float probabilities."""
+    pool = enumerate_strategies(budget, game.n)
+    support = rng.sample(pool, min(3, len(pool)))
+    weights = [Fraction(rng.randint(1, 4)) if exact else rng.random() + 0.1 for _ in support]
+    return MixedStrategy(support=tuple((s, w / sum(weights)) for s, w in zip(support, weights)))
 
 
 def reference_best_response(sunk, opp_marginals, player):
@@ -337,11 +408,12 @@ def reference_best_response(sunk, opp_marginals, player):
     :func:`oriented_valuations` gives them, sum by sum: the form the
     package's numpy version is pinned to."""
     d_self, _, tables, costs_self, costs_opp = oriented_valuations(sunk, player)
+    rows = opp_marginals.tables.tolist()
     rewards = [
         [-own[a] if table is None
          else sum(m_b * table[a][b] for b, m_b in enumerate(m)) - own[a]
          for a in range(d_self + 1)]
-        for table, own, m in zip(tables, costs_self, opp_marginals.tables)
+        for table, own, m in zip(tables, costs_self, rows)
     ]
     after = [[rewards[-1][d_self - j] for j in range(d_self + 1)]]
     for row in reversed(rewards[:-1]):
@@ -354,9 +426,26 @@ def reference_best_response(sunk, opp_marginals, player):
         assignment.append(a)
         j += a
     assignment.append(d_self - j)
-    expected = sum(p * c for row, m in zip(costs_opp, opp_marginals.tables)
-                   for c, p in zip(row, m))
-    return after[0][0] + expected, tuple(assignment)
+    return after[0][0] + expected_cost(costs_opp, rows), tuple(assignment)
+
+
+def expected_cost(costs, rows):
+    """A player's expected own cost over its per-battlefield marginal rows."""
+    return sum(p * c for row, m in zip(costs, rows) for c, p in zip(row, m))
+
+
+def reference_realized(sunk, marg_a, marg_b):
+    """A's expected companion payoff of a profile given by both players'
+    marginals, term by term: the expected valuation, bilinear in the
+    marginals, less A's expected own cost, plus B's."""
+    rows_a, rows_b = marg_a.tables.tolist(), marg_b.tables.tolist()
+    return sum(
+        p_a * p_b * table[a][b]
+        for table, row_a, row_b in zip(sunk.valuations, rows_a, rows_b)
+        if table is not None
+        for a, p_a in enumerate(row_a) if p_a
+        for b, p_b in enumerate(row_b) if p_b
+    ) - expected_cost(sunk.costs_a, rows_a) + expected_cost(sunk.costs_b, rows_b)
 
 
 def drawn_marginals(rng, n_hat, budget, draw):
@@ -400,18 +489,20 @@ class TestVectorizedDP:
     @pytest.mark.parametrize("increments", [None, DECIMAL_INCREMENTS], ids=["dyadic", "decimal"])
     def test_float_games(self, increments, player):
         # float marginals give the same floats, summed in the same order;
-        # marginals mixing Fractions and floats, which the plain-Python DP
-        # multiplies partly exactly, agree within 1e-12
+        # exact marginals, which the plain-Python DP multiplies partly
+        # exactly on a float game, agree within 1e-12
         rng = random.Random(1500)
         for _ in range(40):
             sunk = build_sunk_cost(random_game(rng, n_max=6, d_max=10, increments=increments))
             d_opp = sunk.budget_b if player == "A" else sunk.budget_a
             mixed = drawn_marginals(rng, sunk.n_hat, d_opp, rng.random)
-            floats = Marginals(tables=tuple(tuple(map(float, row)) for row in mixed.tables))
+            floats = Marginals(tables=mixed.tables.astype(float))
             mine = best_response_value(sunk, floats, player)
             assert repr(mine) == repr(reference_best_response(sunk, floats, player))
-            (mine, _), (theirs, _) = (best_response_value(sunk, mixed, player),
-                                      reference_best_response(sunk, mixed, player))
+            exact = Marginals(tables=[list(map(Fraction, row)) for row in floats.tables.tolist()])
+            assert exact.tables.dtype == object
+            (mine, _), (theirs, _) = (best_response_value(sunk, exact, player),
+                                      reference_best_response(sunk, exact, player))
             assert type(mine) is float and abs(mine - theirs) <= 1e-12
 
     def test_point_mass_is_exact(self):
