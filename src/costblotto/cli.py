@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from .config import ConfigError, load_game, load_sweep_spec, sweep_point_game
-from .game import CostBlottoGame, MixedStrategy
+from .game import MixedStrategy
 from .minimax import (
     InvalidFlowError,
     build_minimax_lp,
@@ -28,7 +28,7 @@ from .minimax import (
     solve,
 )
 from .oracle import OracleSolveError, build_matrix, matrix_game_solve
-from .reduction import build_sunk_cost, unmap_strategy
+from .reduction import SunkCostGame, build_sunk_cost, unmap_strategy
 from .solver import SolverFailureError, get_backend
 from .strategy import (
     CERTIFICATE_EPS,
@@ -74,25 +74,26 @@ def _unmapped(xi_hat: MixedStrategy, budget: int) -> MixedStrategy:
 
 
 #: Games with at least this many battlefields are solved by edge generation,
-#: smaller ones by the full LP.  Generation over full-LP process time, two
-#: runs per game (2-core x86_64 VM; sign valuations, D = 20, 30, 40, linear
-#: and quadratic costs): 1.9-4.0x on the linear games at n = 2-3, 0.57-1.13x
-#: at n = 4, 0.43-0.69x at n = 5 and 0.24-0.67x at n = 6.  n = 4 is near
-#: parity, so it keeps the full LP and its witnesses.
+#: smaller ones by the full LP.  Generation from the fictitious-play start
+#: over full-LP process time, median of 3 interleaved runs per game (2-core
+#: x86_64 VM; sign valuations, D_A = D_B, linear and quadratic costs): at
+#: n = 3, 2.5-3.3x for D = 5-10 and 0.32-2.2x for D = 20-40; at n = 4,
+#: 2.5-2.7x for D = 5, 0.87-1.13x for D = 10 and 0.32-0.74x for D = 20-40.
+#: A cut-over at 4 made solve-pair's wall_s lower in 3 of 4 benchmark pairs
+#: only, so n = 4 keeps the full LP and its witnesses.
 GENERATE_FROM_BATTLEFIELDS = 5
 
 
-def _solve_game(game: CostBlottoGame):
-    """One A-perspective solve, by edge generation from
-    :data:`GENERATE_FROM_BATTLEFIELDS` battlefields on: the result and both
-    players' equilibrium strategies, B's read from the LP's row duals."""
-    sunk = build_sunk_cost(game)
-    if game.n >= GENERATE_FROM_BATTLEFIELDS:
+def _solve_game(sunk: SunkCostGame):
+    """One A-perspective solve of a game's sunk-cost form, by edge generation
+    from :data:`GENERATE_FROM_BATTLEFIELDS` battlefields on: the result and
+    both players' equilibrium strategies, B's read from the LP's row duals."""
+    if sunk.n_hat - 1 >= GENERATE_FROM_BATTLEFIELDS:
         result = solve_by_generation(sunk)
     else:
         result = solve(build_minimax_lp(sunk, "A"))
-    xi_a = _unmapped(decompose_flow(result.flow), game.budget_a)
-    xi_b = _unmapped(decompose_flow(result.opponent_flow), game.budget_b)
+    xi_a = _unmapped(decompose_flow(result.flow), sunk.budget_a)
+    xi_b = _unmapped(decompose_flow(result.opponent_flow), sunk.budget_b)
     return result, xi_a, xi_b
 
 
@@ -101,8 +102,9 @@ def cmd_solve(config: str, player: str, out: str) -> dict:
     if player not in ("A", "B"):
         raise ConfigError(f"player must be 'A' or 'B', got {player!r}")
     game = load_game(config)
-    result, xi_a, xi_b = _solve_game(game)
-    is_eq, gap_a, gap_b = certify_equilibrium(game, xi_a, xi_b)
+    sunk = build_sunk_cost(game)
+    result, xi_a, xi_b = _solve_game(sunk)
+    is_eq, gap_a, gap_b = certify_equilibrium(game, xi_a, xi_b, sunk=sunk)
     if not is_eq:
         raise SolverFailureError(
             f"solved profile failed the equilibrium certificate "
@@ -317,10 +319,11 @@ def cmd_check_hypothesis(spec: str, out: str) -> dict:
 def cmd_oracle_diff(config: str) -> dict:
     """Compare the flow solver's value against the brute-force oracle."""
     game = load_game(config)
-    result, xi_a, xi_b = _solve_game(game)
+    sunk = build_sunk_cost(game)
+    result, xi_a, xi_b = _solve_game(sunk)
     oracle_value, _, _ = matrix_game_solve(build_matrix(game))
     diff = abs(result.value - float(oracle_value))
-    is_eq, gap_a, gap_b = certify_equilibrium(game, xi_a, xi_b)
+    is_eq, gap_a, gap_b = certify_equilibrium(game, xi_a, xi_b, sunk=sunk)
     report = {
         "flow_value": result.value,
         "oracle_value": float(oracle_value),

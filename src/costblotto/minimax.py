@@ -493,7 +493,9 @@ def equilibrium_statistic_bounds(
     uses only edges of A's best responses to B's equilibrium marginals,
     within the gap that stopped generation
     (:func:`~costblotto.strategy.best_response_edges`), and B's support
-    rows and the value row are tight.
+    rows and the value row are tight.  The edges of stage one's own flow,
+    an optimum, are put on the face as well, so the face never misses them
+    by the DP's round-off.
 
     Stage two places every face edge on the held model, fixes the other
     placed A edges at 0, tightens those rows and optimizes each statistic
@@ -520,6 +522,9 @@ def equilibrium_statistic_bounds(
     base, tolerance = generate_edges(model, sunk, backend)
     on_face = best_response_edges(sunk, marginals_from_flow(base.opponent_flow), "A",
                                   tolerance)
+    # stage one's optimum lies on the face, though at a large payoff scale
+    # the DP's round-off can put an edge of its flow beyond the tolerance
+    on_face |= base.flow.edge_flow > 0
     none = np.array([], dtype=np.int64)
     model.place(np.flatnonzero(on_face), none)
     lay = model.layout

@@ -36,6 +36,15 @@ CERTIFICATE_EPS = 1e-5
 #: tolerance.
 GENERATION_GAP = 1e-9
 
+#: Rounds of fictitious play whose paths make edge generation's start
+#: (:func:`generation_start`); 0 starts from the idle best responses alone.
+#: The 17 figure-grid points the bounds-grid benchmark draws from (n = 4,
+#: D = 40, c0_inv 6-10) took 3.14-3.37 s of process time from the idle
+#: start, 2.59-2.89 s from 50 rounds, 2.13-2.37 s from 100 and 2.03-2.38 s
+#: from 200 (two interleaved runs, 2-core x86_64 VM).  The start costs about
+#: 13 ms there and 0.44 s at n = 50, D = 100, in proportion to the rounds.
+FICTITIOUS_PLAY_ROUNDS = 100
+
 
 @dataclass(frozen=True, eq=False)
 class Marginals:
@@ -267,6 +276,7 @@ def certify_equilibrium(
     xi_a: MixedStrategy,
     xi_b: MixedStrategy,
     eps: float = CERTIFICATE_EPS,
+    sunk: SunkCostGame | None = None,
 ) -> tuple[bool, Number, Number]:
     """Check a mixed profile of the game with costs for equilibrium.
 
@@ -275,6 +285,7 @@ def certify_equilibrium(
     companion game; both games share equilibria, so gaps at most ``eps``
     certify the profile for the game with costs as well.  The gaps are exact
     when the game and the probabilities are, and ``float``s otherwise.
+    ``sunk``, the game's sunk-cost form, is built from ``game`` unless given.
     """
     marginals = []
     for xi, budget in ((xi_a, game.budget_a), (xi_b, game.budget_b)):
@@ -283,7 +294,8 @@ def certify_equilibrium(
         mapped = MixedStrategy(support=tuple((map_strategy(s, budget), p) for s, p in xi.support))
         marginals.append(marginals_from_mixed(mapped, budget))
     marg_a, marg_b = marginals
-    sunk = build_sunk_cost(game)
+    if sunk is None:
+        sunk = build_sunk_cost(game)
     # independence across players makes A's expected payoff its rewards
     # against B's marginals weighted by its own, plus B's expected own cost;
     # a float on either side makes each product a float
@@ -298,21 +310,37 @@ def certify_equilibrium(
 
 def solve_by_generation(sunk: SunkCostGame, backend=None) -> SolveResult:
     """Player A's minimax optimum, grown edge by edge from
-    :func:`generation_start` by :func:`generate_edges` on ``backend`` (the
-    default one, whose simplex size rule takes the small first round)."""
+    :func:`generation_start`, the paths of fictitious play, by
+    :func:`generate_edges` on ``backend`` (the default one, whose size rule
+    solves the first round cold by simplex, or by interior point when the
+    start reaches :data:`~costblotto.solver.SIMPLEX_BELOW_COLUMNS` columns)."""
     lp = build_minimax_lp(sunk, "A", *generation_start(sunk))
     return generate_edges(lp, sunk, backend if backend is not None else get_backend())[0]
 
 
 def generation_start(sunk: SunkCostGame) -> tuple[np.ndarray, np.ndarray]:
-    """The edges edge generation starts from: those of A's best response to
-    B idling, with every resource on the extra battlefield, and of B's best
-    response to A idling."""
-    own = LayeredGraph(sunk.n_hat, sunk.budget_a).path_edges(
-        best_response_value(sunk, _idle(sunk.n_hat, sunk.budget_b), "A")[1])
-    opp = LayeredGraph(sunk.n_hat, sunk.budget_b).path_edges(
-        best_response_value(sunk, _idle(sunk.n_hat, sunk.budget_a), "B")[1])
-    return own, opp
+    """The edges edge generation starts from, A's and B's: those of every
+    path played in :data:`FICTITIOUS_PLAY_ROUNDS` rounds of fictitious play
+    (Brown, 1951).  Round 0 is A's best response to B idling, with every
+    resource on the extra battlefield, and B's best response to A idling.
+    In each later round, each player plays the DP best response to the
+    average of the paths the opponent played in the rounds before, over
+    float64 rewards: the start is a heuristic only, and generation's stop
+    rule proves the optimum from any start."""
+    played = ([best_response_value(sunk, _idle(sunk.n_hat, sunk.budget_b), "A")[1]],
+              [best_response_value(sunk, _idle(sunk.n_hat, sunk.budget_a), "B")[1]])
+    counts = [np.zeros((sunk.n_hat, d + 1)) for d in (sunk.budget_a, sunk.budget_b)]
+    parts = [oriented_arrays(sunk, player) for player in "AB"]
+    fields = np.arange(sunk.n_hat)
+    for k in range(1, FICTITIOUS_PLAY_ROUNDS + 1):
+        for count, paths in zip(counts, played):
+            count[fields, paths[-1]] += 1
+        for (tables, costs_self, _), paths, opp_count in zip(parts, played, counts[::-1]):
+            rewards = np.einsum("iab,ib->ia", tables, opp_count / k) - costs_self
+            paths.append(_best_path(rewards)[1])
+    graphs = (LayeredGraph(sunk.n_hat, d) for d in (sunk.budget_a, sunk.budget_b))
+    return tuple(np.unique(np.concatenate([graph.path_edges(p) for p in set(paths)]))
+                 for graph, paths in zip(graphs, played))
 
 
 def generate_edges(lp: MinimaxLP, sunk: SunkCostGame, backend) -> tuple[SolveResult, float]:
@@ -320,10 +348,13 @@ def generate_edges(lp: MinimaxLP, sunk: SunkCostGame, backend) -> tuple[SolveRes
     full game: a double oracle over the edges of both layered graphs, or
     column-and-row generation on the LP of :func:`build_minimax_lp`.
 
-    Each round solves ``lp``, then finds both players' DP best responses to
-    the other's restricted optimum, A's marginals read from the marginal
-    columns and B's from the potential-row duals; a best response that
-    gains more than :data:`GENERATION_GAP` places its path's edges.  When
+    ``lp`` holds the start's edges, :func:`generation_start`'s for
+    :func:`solve_by_generation` and the bounds; the more of an equilibrium's
+    support they hold, the fewer rounds run.  Each round solves ``lp``, then
+    finds both players' DP best responses to the other's restricted optimum,
+    A's marginals read from the marginal columns and B's from the
+    potential-row duals; a best response that gains more than
+    :data:`GENERATION_GAP` places its path's edges.  When
     neither does, the restricted optimum is an equilibrium of the full game.
     All rounds run on one HiGHS model held by ``backend``, to which each
     round appends only the columns and rows its placement adds.  The

@@ -5,12 +5,10 @@ import json
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from costblotto import (cli, load_game, build_minimax_lp, build_sunk_cost,
-                        equilibrium_statistic_bounds, minimax, oracle, resource_statistic, solve,
-                        strategy)
+                        equilibrium_statistic_bounds, minimax, oracle, resource_statistic, solve)
 from costblotto.cli import (
     SWEEP_CSV_HEADER,
     _fmt,
@@ -154,12 +152,13 @@ class TestBounds:
 
     @pytest.mark.parametrize("name, face", [
         ("example_small", {"fixed_columns": 9, "tight_rows": 4}),
-        ("linear_obtainment", {"fixed_columns": 3380, "tight_rows": 144}),
-        ("quadratic_assignment", {"fixed_columns": 3769, "tight_rows": 72}),
+        ("linear_obtainment", {"fixed_columns": 3380, "tight_rows": 146}),
+        ("quadratic_assignment", {"fixed_columns": 3769, "tight_rows": 70}),
     ])
     def test_records_the_dp_face(self, name, face, tmp_path):
         # fixed_columns counts A's edges off the face that the dynamic program
-        # reads, tight_rows B's support rows and the value row
+        # reads, tight_rows B's support rows and the value row; B's support is
+        # that of the vertex generation ends at, so it moves with the start
         out = tmp_path / "bounds"
         assert main(["bounds", "--config", str(CONFIGS / f"{name}.json"),
                      "--statistic", "resources", "--out", str(out)]) == 0
@@ -393,17 +392,21 @@ class TestBrokenDuals:
         assert not (out / "hypothesis_report.json").exists()
 
 
-def _close_the_face(monkeypatch):
-    """Make the dynamic program put none of A's edges on the optimal face,
-    so that the face holds no unit flow."""
-    real = strategy.best_response_edges
-    monkeypatch.setattr(strategy, "best_response_edges",
-                        lambda *args: np.zeros_like(real(*args)))
+class InfeasibleFaceBackend(ScipyHighsBackend):
+    """Real solves, but every re-solve of the held matrix under other costs
+    and bounds, as each stage-two solve is, is answered infeasible.  The face
+    always holds stage one's flow, so a real face cannot be closed."""
+
+    def solve(self, lp):
+        if self._lp is not None and lp.a is self._lp.a:
+            return BackendSolution(status=INFEASIBLE, x=None, objective=None,
+                                   message="Infeasible")
+        return super().solve(lp)
 
 
 class TestInfeasibleFace:
     def test_bounds_exit_code_3(self, config_path, tmp_path, monkeypatch, capsys):
-        _close_the_face(monkeypatch)
+        monkeypatch.setattr(minimax, "get_backend", InfeasibleFaceBackend)
         out = tmp_path / "out"
         assert main(["bounds", "--statistic", "resources", "--config", config_path,
                      "--out", str(out)]) == 3
@@ -413,7 +416,7 @@ class TestInfeasibleFace:
         assert not out.exists()
 
     def test_sweep_point_records_error(self, monkeypatch):
-        _close_the_face(monkeypatch)
+        monkeypatch.setattr(minimax, "get_backend", InfeasibleFaceBackend)
         row = cli._sweep_point((2, 2, 2, 1.0))
         assert row["error"].startswith("SolverFailureError: stage-two solve")
         assert "min_resources" not in row and "value" not in row
@@ -597,7 +600,7 @@ class TestConfigBoundary:
                        "(invalid start byte at byte 0)"}
 
 
-def _failed_certificate(game, xi_a, xi_b):
+def _failed_certificate(game, xi_a, xi_b, sunk=None):
     return False, 0.5, 0.0
 
 

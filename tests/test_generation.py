@@ -12,11 +12,11 @@ import scipy.sparse as sp
 from costblotto import (build_minimax_lp, build_sunk_cost, certify_equilibrium, cli,
                         enumerate_strategies, solve, strategy)
 from costblotto.cli import GENERATE_FROM_BATTLEFIELDS, main
-from costblotto.config import parse_game_config
-from costblotto.minimax import MinimaxLP, _assemble
+from costblotto.config import parse_game_config, sweep_point_game
+from costblotto.minimax import LayeredGraph, MinimaxLP, _assemble
 from costblotto.solver import NUMERIC_FAILURE, ScipyHighsBackend, SolverFailureError
-from costblotto.strategy import (GENERATION_GAP, best_response_value, marginals_from_flow,
-                                 solve_by_generation)
+from costblotto.strategy import (GENERATION_GAP, Marginals, best_response_edges,
+                                 best_response_value, marginals_from_flow, solve_by_generation)
 from conftest import DECIMAL_INCREMENTS, random_game
 
 KINDS = ["dyadic", "decimal", "fraction", "zero-budget"]
@@ -59,14 +59,14 @@ class TestSolveGame:
     def test_value_is_the_full_lps(self, kind):
         for game in generation_games(kind):
             assert game.n >= GENERATE_FROM_BATTLEFIELDS
-            result, _, _ = cli._solve_game(game)
+            result, _, _ = cli._solve_game(build_sunk_cost(game))
             full = solve(build_minimax_lp(build_sunk_cost(game), "A"))
             assert abs(result.value - full.value) <= 1e-9
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_flows_decompose_and_certify(self, kind):
         for game in generation_games(kind):
-            result, xi_a, xi_b = cli._solve_game(game)
+            result, xi_a, xi_b = cli._solve_game(build_sunk_cost(game))
             is_eq, _, _ = certify_equilibrium(game, xi_a, xi_b)
             assert is_eq
             sunk = build_sunk_cost(game)
@@ -77,7 +77,7 @@ class TestSolveGame:
 
     def test_solution_records_the_rounds(self):
         game = generation_games("dyadic", 1)[0]
-        result, _, _ = cli._solve_game(game)
+        result, _, _ = cli._solve_game(build_sunk_cost(game))
         assert result.solution.lp_solver == "simplex"
         assert result.solution.iterations > 0
         assert result.flow.graph.num_edges == build_minimax_lp(
@@ -86,7 +86,9 @@ class TestSolveGame:
 
 class TestHeldModel:
     def test_one_model_grows(self, monkeypatch):
-        # every round after the first adds columns and rows to one model
+        # every round after the first adds columns and rows to one model;
+        # from the idle best responses alone, generation takes several rounds
+        monkeypatch.setattr(strategy, "FICTITIOUS_PLAY_ROUNDS", 0)
         calls = {"_build": 0, "_grow": 0}
         for name in calls:
             original = getattr(ScipyHighsBackend, name)
@@ -171,9 +173,11 @@ class TestHeldModel:
         assert backend.solve(_whole(lp)).status == "optimal"
         assert [program.base for program in built] == [None]
 
-    def test_generation_on_a_model_not_held_fails(self):
+    def test_generation_on_a_model_not_held_fails(self, monkeypatch):
         # a backend that solves another LP after every round holds no
-        # round's LP, so the next round's addition is refused
+        # round's LP, so the next round's addition is refused; from the idle
+        # best responses alone, generation takes more than one round
+        monkeypatch.setattr(strategy, "FICTITIOUS_PLAY_ROUNDS", 0)
         sunk = build_sunk_cost(generation_games("dyadic", 1)[0])
         other = build_minimax_lp(sunk, "B").program
 
@@ -303,20 +307,82 @@ def _stall(monkeypatch):
     monkeypatch.setattr(strategy, "best_response_value", stalled)
 
 
+W = 1e5
+LARGE_PAYOFFS = {
+    "n": 6, "budget_A": 20, "budget_B": 18,
+    "valuations": [{"kind": "sign", "weight": W * (1 + i % 2)} for i in range(6)],
+    "assign_costs_A": {"kind": "none"}, "assign_costs_B": {"kind": "none"},
+    "obtain_cost_A": {"kind": "linear", "coeff": 0.05 * W},
+    "obtain_cost_B": {"kind": "linear", "coeff": 0.05 * W}}
+
+
 class TestLargePayoffs:
     def test_round_off_stall_returns_the_restricted_optimum(self):
         # payoffs near 1e5-1e6: the last rounds' gaps are round-off above
         # GENERATION_GAP with every best-response edge placed
-        w = 1e5
-        none = {"kind": "none"}
-        game = parse_game_config({
-            "n": 6, "budget_A": 20, "budget_B": 18,
-            "valuations": [{"kind": "sign", "weight": w * (1 + i % 2)} for i in range(6)],
-            "assign_costs_A": none, "assign_costs_B": none,
-            "obtain_cost_A": {"kind": "linear", "coeff": 0.05 * w},
-            "obtain_cost_B": {"kind": "linear", "coeff": 0.05 * w}})
-        result, xi_a, xi_b = cli._solve_game(game)
+        game = parse_game_config(LARGE_PAYOFFS)
+        result, xi_a, xi_b = cli._solve_game(build_sunk_cost(game))
         full = solve(build_minimax_lp(build_sunk_cost(game), "A"))
         assert result.value == pytest.approx(full.value, rel=1e-12)
         assert result.solution.lp_solver == "simplex"  # not the full LP's interior point
         assert certify_equilibrium(game, xi_a, xi_b)[0]
+
+    def test_bounds_keep_stage_ones_flow_on_the_face(self, tmp_path, monkeypatch):
+        # from 25 rounds of fictitious play, generation stops by the 1e-9
+        # rule, and the DP's round-off at this payoff scale leaves edges of
+        # stage one's flow beyond that gap of A's best response; stage one's
+        # optimum is on the face all the same, so stage two stays feasible
+        monkeypatch.setattr(strategy, "FICTITIOUS_PLAY_ROUNDS", 25)
+        sunk = build_sunk_cost(parse_game_config(LARGE_PAYOFFS))
+        base, tolerance = strategy.generate_edges(
+            build_minimax_lp(sunk, "A", *strategy.generation_start(sunk)), sunk,
+            ScipyHighsBackend())
+        dp_face = best_response_edges(sunk, marginals_from_flow(base.opponent_flow), "A",
+                                      tolerance)
+        assert tolerance == GENERATION_GAP and np.any((base.flow.edge_flow > 0) & ~dp_face)
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(LARGE_PAYOFFS))
+        out = tmp_path / "out"
+        # exit 0: both witnesses passed the certificate
+        assert main(["bounds", "--config", str(path), "--statistic", "resources",
+                     "--out", str(out)]) == 0
+        payload = json.loads((out / "bounds_resources.json").read_text())
+        assert payload["min"] == pytest.approx(20, abs=1e-6)
+        assert payload["max"] == pytest.approx(20, abs=1e-6)
+
+
+def _idle_response_edges(sunk):
+    """The edges of A's best response to B idling, with every resource on
+    the extra battlefield, and of B's to A idling."""
+    edges = []
+    for player, d_self, d_opp in (("A", sunk.budget_a, sunk.budget_b),
+                                  ("B", sunk.budget_b, sunk.budget_a)):
+        idle = [[1] + [0] * d_opp for _ in range(sunk.n_hat - 1)] + [[0] * d_opp + [1]]
+        _, path = best_response_value(sunk, Marginals(tables=idle), player)
+        edges.append(LayeredGraph(sunk.n_hat, d_self).path_edges(path))
+    return edges
+
+
+START_GAMES = [pytest.param(game, id=f"{kind}-{i}") for kind in KINDS
+               for i, game in enumerate(generation_games(kind, 2))] + [
+    pytest.param(sweep_point_game(4, 40, 40, c0_inv), id=f"figure-c0_inv={c0_inv:g}")
+    for c0_inv in (2.5, 9.75)]
+
+
+class TestStart:
+    @pytest.mark.parametrize("game", START_GAMES)
+    def test_no_rounds_is_the_idle_responses(self, game, monkeypatch):
+        monkeypatch.setattr(strategy, "FICTITIOUS_PLAY_ROUNDS", 0)
+        sunk = build_sunk_cost(game)
+        for got, want in zip(strategy.generation_start(sunk), _idle_response_edges(sunk)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("game", START_GAMES)
+    def test_start_holds_the_idle_responses_and_repeats(self, game):
+        sunk = build_sunk_cost(game)
+        start = strategy.generation_start(sunk)
+        for edges, idle in zip(start, _idle_response_edges(sunk)):
+            assert np.all(edges[:-1] < edges[1:])  # ascending, once each
+            assert np.isin(idle, edges).all()
+        again = strategy.generation_start(build_sunk_cost(game))
+        assert all(np.array_equal(a, b) for a, b in zip(start, again))

@@ -711,7 +711,9 @@ class TestDynamicProgramFace:
     def test_stage_two_adds_b_rows(self, c0_inv, monkeypatch):
         # the held model has only the B rows generation placed; at these
         # points some witness is beaten by a B path off them until its rows
-        # are placed, and every witness ends within GENERATION_GAP of the value
+        # are placed, and every witness ends within GENERATION_GAP of the value;
+        # generation starts from the idle best responses alone
+        monkeypatch.setattr(strategy, "FICTITIOUS_PLAY_ROUNDS", 0)
         face_read, rows_added = [], []
         real_edges, real_place = strategy.best_response_edges, MinimaxLP.place
 
@@ -739,7 +741,9 @@ class TestDynamicProgramFace:
 
     def test_stall_takes_the_face_tolerance_from_generation(self, monkeypatch):
         # the round-off stall game of test_generation.TestLargePayoffs: its
-        # generation ends by the stall rule, so the face reads that rule's gap
+        # generation from the idle best responses alone ends by the stall
+        # rule, so the face reads that rule's gap
+        monkeypatch.setattr(strategy, "FICTITIOUS_PLAY_ROUNDS", 0)
         w = 1e5
         none = {"kind": "none"}
         game = parse_game_config({
